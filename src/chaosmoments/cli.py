@@ -23,7 +23,6 @@ import numpy as np
 from . import harness
 from .distributions import GAUSSIAN, make_distribution
 from .dual_norms import ConfigurationError
-from .estimates import McConfig
 from .montecarlo import gk_moment
 
 
@@ -100,18 +99,15 @@ def _run_rows(args, deterministic, simulate):
 
 def _run_gk(args):
     cfg = _load_config(args)
+    mc = cfg.mc_config()
     records = []
     flagged = False
     for r in cfg.r_grid:
         family = cfg.family_x
         dist = make_distribution(family, 2.0 if family == GAUSSIAN else r)
-        gen_cfg = McConfig(
-            total_samples=cfg.total_samples, batches=cfg.batches,
-            master_seed=cfg.seed, unit_variance=cfg.unit_variance,
-        )
         coeffs = np.ones(cfg.n1) / math.sqrt(cfg.n1)
         for p in cfg.p_grid:
-            est = gk_moment(coeffs, dist, p, gen_cfg)
+            est = gk_moment(coeffs, dist, p, mc)
             flagged = flagged or est.warning is not None
             records.append({
                 "family": family, "r": r, "p": p, "n": cfg.n1,

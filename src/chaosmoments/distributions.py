@@ -160,17 +160,21 @@ class TailDistribution:
     # -- sampling and moments ------------------------------------------
 
     def sample(self, rng, count):
-        """Inverse-survival-transform draws, sign-symmetrized."""
+        """Sign-symmetrized draws.
+
+        Exp-power magnitudes use that |X|^r follows a Gamma(1/r) law before
+        rescaling (the generalized-Gaussian sampler); Weibull-type
+        magnitudes invert the survival exp(-t^r) at a uniform.
+        """
         if count < 0:
             raise ValueError("count must be >= 0")
         if count == 0:
             return np.empty(0)
-        u = rng.uniform(size=count)
         if self.family == EXP_POWER:
-            mag = special.gammainccinv(1.0 / self.r, u) ** (1.0 / self.r)
+            mag = rng.standard_gamma(1.0 / self.r, count) ** (1.0 / self.r)
             mag /= self.scale
         else:
-            mag = (-np.log(u)) ** (1.0 / self.r)
+            mag = (-np.log(rng.uniform(size=count))) ** (1.0 / self.r)
         signs = rng.integers(0, 2, size=count) * 2 - 1
         return signs * mag
 
@@ -229,20 +233,3 @@ def make_distribution(family, r=None):
         return d
     raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
 
-
-# Operation-style wrappers used across the package and in tests.
-
-def tail_N(d, t):
-    return d.tail_N(t)
-
-
-def hat_N(d, t):
-    return d.hat_N(t)
-
-
-def sample(d, rng, count):
-    return d.sample(rng, count)
-
-
-def raw_moment(d, k):
-    return d.raw_moment(k)

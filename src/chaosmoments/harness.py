@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -59,6 +60,14 @@ class ExperimentConfig:
     batches: int = 32
     unit_variance: bool = False
 
+    def __post_init__(self):
+        # here rather than in parse_config so that a --seed override,
+        # applied with dataclasses.replace, is checked as well
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError(f"seed {self.seed} is outside [0, 2^64)")
+        if self.ensemble == "hilbert" and any(q != 2.0 for q in self.q_grid):
+            raise ConfigurationError("the hilbert ensemble requires q = 2")
+
     def mc_config(self):
         return McConfig(
             total_samples=self.total_samples,
@@ -88,17 +97,29 @@ class ComparisonRow:
     flags: str
 
 
+_REAL = (int, float)
+#: a leaf is a type, or a one-element list holding the type of every entry
 _SCHEMA = {
     "ensemble": str,
-    "density": (int, float),
+    "density": _REAL,
     "dimensions": {"n1": int, "n2": int, "m": int},
-    "grids": {"q": list, "r": list, "p": list},
+    "grids": {"q": [_REAL], "r": [_REAL], "p": [_REAL]},
     "dist": {"family_x": str, "family_y": str},
     "mc": {"total_samples": int, "batches": int, "unit_variance": bool},
     "instances": int,
     "restarts": int,
     "seed": int,
 }
+_KIND_NAMES = {str: "a string", _REAL: "a finite number", int: "an integer", bool: "a boolean"}
+
+
+def _is_kind(value, kind):
+    if isinstance(value, bool):  # JSON true/false; Python counts bool as an int
+        return kind is bool
+    if not isinstance(value, kind):
+        return False
+    # JSON NaN, Infinity and huge integers parse too; a number must fit a float
+    return kind is not _REAL or abs(value) <= sys.float_info.max
 
 
 def _check_keys(doc, schema, prefix=""):
@@ -111,6 +132,13 @@ def _check_keys(doc, schema, prefix=""):
             if not isinstance(v, dict):
                 raise ConfigurationError(f"{prefix + k} must be an object")
             _check_keys(v, sub, prefix + k + ".")
+        elif isinstance(sub, list):
+            if not isinstance(v, list) or not all(_is_kind(x, sub[0]) for x in v):
+                raise ConfigurationError(
+                    f"{prefix + k} must be a list whose entries are each {_KIND_NAMES[sub[0]]}"
+                )
+        elif not _is_kind(v, sub):
+            raise ConfigurationError(f"{prefix + k} must be {_KIND_NAMES[sub]}")
 
 
 def parse_config(text):
@@ -139,7 +167,7 @@ def parse_config(text):
     dims = doc.get("dimensions", {})
     for key in ("n1", "n2", "m"):
         if key in dims:
-            value = int(dims[key])
+            value = dims[key]
             if value < 1:
                 raise ConfigurationError(f"dimension {key} must be >= 1")
             kwargs[key] = value
@@ -163,18 +191,18 @@ def parse_config(text):
             kwargs[attr] = dist[key]
     mc = doc.get("mc", {})
     if "total_samples" in mc:
-        if int(mc["total_samples"]) < 1:
+        if mc["total_samples"] < 1:
             raise ConfigurationError("mc.total_samples must be >= 1")
-        kwargs["total_samples"] = int(mc["total_samples"])
+        kwargs["total_samples"] = mc["total_samples"]
     if "batches" in mc:
-        if int(mc["batches"]) < 8:
+        if mc["batches"] < 8:
             raise ConfigurationError("mc.batches must be >= 8")
-        kwargs["batches"] = int(mc["batches"])
+        kwargs["batches"] = mc["batches"]
     if "unit_variance" in mc:
-        kwargs["unit_variance"] = bool(mc["unit_variance"])
+        kwargs["unit_variance"] = mc["unit_variance"]
     for key in ("instances", "restarts", "seed"):
         if key in doc:
-            kwargs[key] = int(doc[key])
+            kwargs[key] = doc[key]
             if key != "seed" and kwargs[key] < 1:
                 raise ConfigurationError(f"{key} must be >= 1")
     cfg = replace(cfg, **kwargs)
@@ -188,8 +216,6 @@ def generate_ensemble(cfg, index, q=None):
     if index < 0:
         raise ValueError("index must be >= 0")
     q = cfg.q_grid[0] if q is None else q
-    if cfg.ensemble == "hilbert":
-        q = 2.0
     gen = rngmod.stream(cfg.seed, rngmod.ENSEMBLE_STREAM + index)
     shape = (cfg.n1, cfg.n2, cfg.m)
     entries = gen.standard_normal(shape)

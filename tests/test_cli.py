@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chaosmoments.cli import main
 
 SMALL = {
@@ -90,3 +92,55 @@ def test_threads_env_honored(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("THREADS")
     assert main(["--config", cfg, "--threads", "1"]) == 0
     assert capsys.readouterr().out == env_out
+
+
+def test_simulate_report_identical_across_threads(tmp_path):
+    doc = dict(SMALL, grids={"q": [1, 2], "r": [1, 1.5], "p": [2]})
+    cfg = _write_config(tmp_path, doc)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        argv = ["--config", cfg, "--seed", "5", "--threads", threads, "--out", str(out)]
+        assert main(argv + ["simulate"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("doc", [
+    {"grids": {"p": "24"}},
+    {"mc": {"unit_variance": "no"}},
+    {"instances": 2.7},
+    {"dimensions": {"n1": True}},
+    {"grids": {"r": ["2"]}},
+    {"grids": {"q": [True]}},
+    {"grids": {"p": [float("nan")]}},
+    {"grids": {"r": [10 ** 400]}},
+    {"density": True},
+])
+def test_schema_type_mismatch_exit_code(tmp_path, capsys, doc):
+    assert main(["--config", _write_config(tmp_path, dict(SMALL, **doc))]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_out_of_range_seed_exit_code(tmp_path, capsys, seed):
+    bad = _write_config(tmp_path, dict(SMALL, seed=seed))
+    assert main(["--config", bad, "simulate"]) == 2
+    good = _write_config(tmp_path)
+    assert main(["--config", good, "--seed", str(seed), "simulate"]) == 2
+    assert capsys.readouterr().err.count("outside [0, 2^64)") == 2
+
+
+def test_largest_seed_accepted(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["--config", cfg, "--seed", str((1 << 64) - 1), "simulate"]) == 0
+    capsys.readouterr()
+
+
+def test_hilbert_requires_q_two(tmp_path, capsys):
+    doc = dict(SMALL, ensemble="hilbert", grids={"q": [1], "r": [1], "p": [2]})
+    assert main(["--config", _write_config(tmp_path, doc), "bound"]) == 2
+    assert "requires q = 2" in capsys.readouterr().err
+    doc["grids"]["q"] = [2]
+    assert main(["--config", _write_config(tmp_path, doc), "bound"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("hilbert,2,2,1,2,")

@@ -69,6 +69,16 @@ def test_sampling_matches_survival_ks(family, r):
     assert ks < 0.01
 
 
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+def test_exp_power_sample_moments_match_quadrature(r):
+    # the Gamma-law sampler against moments integrated from the survival
+    d = make_distribution(EXP_POWER, r)
+    x2 = d.sample(stream(2024, 0), 200_000) ** 2
+    for k, vals in ((2, x2), (4, x2 * x2)):
+        stderr = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - d.raw_moment(k)) <= 5.0 * stderr, k
+
+
 def test_sampling_sign_symmetry_and_tail_mass():
     d = make_distribution(WEIBULL, 2.0)
     gen = stream(7, 1)

@@ -7,6 +7,7 @@ from chaosmoments.distributions import GAUSSIAN, WEIBULL, make_distribution
 from chaosmoments.estimates import McConfig, batched_mean, power_mean_transform
 from chaosmoments.functionals import CoefficientTensor
 from chaosmoments.montecarlo import (
+    _bilinear,
     estimate_E_norm_fixed_x,
     estimate_moment_decoupled,
     estimate_moment_undecoupled,
@@ -132,3 +133,20 @@ def test_moment_ratio_hypercontractive():
     m2 = estimate_moment_decoupled(A, G, G, 2.0, CFG).value
     m4 = estimate_moment_decoupled(A, G, G, 4.0, CFG).value
     assert m2 <= m4 <= 4.0 * m2
+
+
+@pytest.mark.parametrize("size", [1, 625])
+@pytest.mark.parametrize(
+    "shape,density",
+    [((4, 4, 3), 1.0), ((3, 5, 1), 1.0), ((5, 4, 2), 0.2), ((3, 3, 2), 0.0)],
+)
+def test_bilinear_matches_three_operand_einsum(size, shape, density):
+    gen = np.random.default_rng(11)
+    n1, n2, _ = shape
+    A = gen.standard_normal(shape) * (gen.uniform(size=shape) < density)
+    X = gen.standard_normal((size, n1))
+    Y = gen.laplace(size=(size, n2))
+    ref = np.einsum("ai,ijk,aj->ak", X, A, Y)
+    got = _bilinear(X, A.reshape(n1, -1), Y)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
