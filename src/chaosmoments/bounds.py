@@ -12,9 +12,13 @@ Each two-sided moment estimate is a sum of named nonnegative terms:
 The nonconvex suprema (T2-T5) are computed by alternating exact partial
 maximizations with deterministic multi-start, so every reported value is
 a certified lower bound of the corresponding supremum, with convergence
-flags in the report diagnostics.  No multiplicative constants are baked
-in: totals are plain sums and constant calibration happens in the
-experiment harness.
+flags in the report diagnostics.  The terms share the multi-start core
+of ``dual_norms``: each supplies a climb, ``_best_start`` keeps the best
+climb over the starts from ``_boundary_starts`` or ``_dual_ball_starts``,
+and ``_ascend`` runs the climbs of T2, T3, T5 and T6 to a stall (T4
+takes projected subgradient steps of its own).  No multiplicative
+constants are baked in: totals are plain sums and constant calibration
+happens in the experiment harness.
 """
 
 import math
@@ -22,11 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng as rngmod
 from .dual_norms import (
     ConfigurationError,
     NormResult,
-    _random_boundary_point,
+    _ascend,
+    _best_start,
+    _boundary_starts,
+    _dual_ball_starts,
+    _project_dual_ball,
     ball,
     norm_Xp,
 )
@@ -39,9 +46,6 @@ TWO_SIDED = "two-sided"
 HILBERT = "hilbert"
 
 KINDS = (LOWER, UPPER_SUBGAUSSIAN, UPPER_GENERAL, TWO_SIDED, HILBERT)
-
-_ALT_TOL = 1e-9
-_ALT_MAX_ITERS = 200
 
 
 @dataclass
@@ -93,47 +97,22 @@ def term_T2_supx(A, ballX, restarts=16, seed=0):
     if not A.entries.any():
         return NormResult(0.0, np.zeros(A.n1), True, 0)
 
-    unfolded = A.entries.reshape(A.n1, -1)
-    u, _, _ = np.linalg.svd(unfolded, full_matrices=False)
-    starts = [u[:, 0]]
-    for i in range(restarts - 1):
-        gen = rngmod.stream(seed, rngmod.RESTART_STREAM + i)
-        starts.append(_random_boundary_point(gen, ballX))
+    def step(x):
+        b = np.einsum("ijk,i->jk", A.entries, x)
+        _, w = _mixed_norm_value_and_alignment(b, A.q)
+        d = np.einsum("ijk,jk->i", A.entries, w)
+        x = norm_Xp(d, ballX).maximizer
+        b = np.einsum("ijk,i->jk", A.entries, x)
+        return x, _mixed_norm_value_and_alignment(b, A.q)[0]
 
-    best = NormResult(-math.inf, np.zeros(A.n1), False, 0)
-    for ridx, x0 in enumerate(starts):
-        x = np.asarray(x0, dtype=float)
-        value = -math.inf
-        converged = False
-        for _ in range(_ALT_MAX_ITERS):
-            b = np.einsum("ijk,i->jk", A.entries, x)
-            _, w = _mixed_norm_value_and_alignment(b, A.q)
-            d = np.einsum("ijk,jk->i", A.entries, w)
-            res = norm_Xp(d, ballX)
-            x = res.maximizer
-            b = np.einsum("ijk,i->jk", A.entries, x)
-            new_value, _ = _mixed_norm_value_and_alignment(b, A.q)
-            if new_value - value <= _ALT_TOL * max(1.0, abs(new_value)):
-                value = max(value, new_value)
-                converged = True
-                break
-            value = new_value
-        if value > best.value:
-            best = NormResult(value, x, converged, ridx)
-    best.restarts_used = len(starts)
-    return best
+    u, _, _ = np.linalg.svd(A.entries.reshape(A.n1, -1), full_matrices=False)
+    starts = _boundary_starts(u[:, 0], ballX, restarts, seed)
+    return _best_start(starts, lambda x: _ascend(x, step))
 
 
 def term_T3_supy(A, ballY, restarts=16, seed=0):
     """Mirror of term_T2 with the two chaos indices exchanged."""
     return term_T2_supx(A.transposed(), ballY, restarts=restarts, seed=seed)
-
-
-def _project_dual_ball(f, q_dual):
-    nrm = np.abs(f).max() if math.isinf(q_dual) else lq_norm(f, q_dual)
-    if nrm > 1.0:
-        return f / nrm
-    return f
 
 
 def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
@@ -169,23 +148,9 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
         value, _, _ = evaluate(np.ones(1))
         return NormResult(value, np.ones(1), True, 0)
 
-    starts = []
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        starts.append(e)
-        starts.append(-e)
-    for i in range(restarts):
-        gen = rngmod.stream(seed, rngmod.RESTART_STREAM + i)
-        f = gen.standard_normal(m)
-        starts.append(_project_dual_ball(f, q_dual))
-
-    best = NormResult(-math.inf, np.zeros(m), False, 0)
-    for ridx, f0 in enumerate(starts):
-        f = np.asarray(f0, dtype=float)
+    def climb(f):
         value, v, xw = evaluate(f)
-        best_local = value
-        best_f = f
+        best_value, best_f = value, f
         stalled = 0
         for it in range(100):
             img = slices @ f  # (n, n2)
@@ -201,17 +166,19 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
             step = 0.5 / math.sqrt(it + 1.0)
             f = _project_dual_ball(f + step * grad / gnorm, q_dual)
             value, v, xw = evaluate(f)
-            if value > best_local * (1.0 + 1e-9):
-                best_local, best_f = value, f
+            if value > best_value * (1.0 + 1e-9):
+                best_value, best_f = value, f
                 stalled = 0
             else:
                 stalled += 1
                 if stalled >= 8:  # step size has shrunk past usefulness
                     break
-        if best_local > best.value:
-            best = NormResult(best_local, best_f, True, ridx)
-    best.restarts_used = len(starts)
-    return best
+        return best_value, best_f, True
+
+    # No -e_k starts: the objective is even, and every step (matmul, norm,
+    # subgradient, projection) is exactly sign-symmetric in floating point,
+    # so the climb from -e_k is the negation of the one from e_k and ties it.
+    return _best_start(_dual_ball_starts(m, q_dual, restarts, seed), climb)
 
 
 def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
@@ -225,85 +192,49 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
     if not A.entries.any():
         return NormResult(0.0, np.zeros(A.n1 + A.n2 + A.m), True, 0)
 
-    starts = []
+    def step(state):
+        x, y, _ = state
+        f = lq_align(np.einsum("ijk,i,j->k", A.entries, x, y), A.q)
+        M = A.entries @ f  # (n1, n2)
+        x = norm_Xp(M @ y, ballX).maximizer
+        y = norm_Xp(M.T @ x, ballY).maximizer
+        return (x, y, f), float(x @ M @ y)
+
     # deterministic warm start: align f with the slice masses
     c0 = np.sqrt((A.entries ** 2).sum(axis=(0, 1)))
-    f0 = lq_align(c0, A.q)
-    M0 = A.entries @ f0
+    M0 = A.entries @ lq_align(c0, A.q)
     _, _, vt = np.linalg.svd(M0)
-    starts.append(vt[0])
-    for i in range(restarts - 1):
-        gen = rngmod.stream(seed, rngmod.RESTART_STREAM + i)
-        starts.append(_random_boundary_point(gen, ballY))
-
-    best = NormResult(-math.inf, np.zeros(A.n1 + A.n2 + A.m), False, 0)
-    for ridx, y0 in enumerate(starts):
-        y = np.asarray(y0, dtype=float)
-        if not y.any():
-            y = np.ones(A.n2)
-        # positive seed for x keeps the first f-step away from degenerate zeros
-        x = norm_Xp(np.abs(A.entries).sum(axis=(1, 2)), ballX).maximizer
-        value = -math.inf
-        converged = False
-        for _ in range(_ALT_MAX_ITERS):
-            c = np.einsum("ijk,i,j->k", A.entries, x, y)
-            f = lq_align(c, A.q)
-            M = A.entries @ f  # (n1, n2)
-            x = norm_Xp(M @ y, ballX).maximizer
-            ry = norm_Xp(M.T @ x, ballY)
-            y = ry.maximizer
-            new_value = float(x @ M @ y)
-            if new_value - value <= _ALT_TOL * max(1.0, abs(new_value)):
-                value = max(value, new_value)
-                converged = True
-                break
-            value = new_value
-        if value > best.value:
-            best = NormResult(value, np.concatenate([x, y, f]), converged, ridx)
-    best.restarts_used = len(starts)
+    # positive seed for x keeps the first f-step away from degenerate zeros
+    x0 = norm_Xp(np.abs(A.entries).sum(axis=(1, 2)), ballX).maximizer
+    starts = _boundary_starts(vt[0], ballY, restarts, seed)
+    best = _best_start(starts, lambda y: _ascend((x0, y, None), step))
+    best.maximizer = np.concatenate(best.maximizer)
     return best
 
 
 def term_T6_operator(A, p, restarts=8, seed=0):
     """p times the worst ell_{q'} -> ell_2 operator norm over slices."""
     best = 0.0
-    for i in range(A.n1):
-        best = max(best, _slice_operator_norm(A.entries[i], A.q, restarts, seed))
+    for S in A.entries:
+        best = max(best, _slice_operator_norm(S, A.q, A.q_dual, restarts, seed))
     return p * best
 
 
-def _slice_operator_norm(S, q, restarts, seed):
+def _slice_operator_norm(S, q, q_dual, restarts, seed):
     """sup_{t in B_{q'}} |S t|_2 by alternating alignment."""
-    n2, m = S.shape
     if not S.any():
         return 0.0
-    starts = []
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        starts.append(e)
-    for i in range(restarts):
-        gen = rngmod.stream(seed, rngmod.RESTART_STREAM + i)
-        f = gen.standard_normal(m)
-        starts.append(_project_dual_ball(f, math.inf if q == 1.0 else q / (q - 1.0)))
-    best = 0.0
-    for t0 in starts:
-        t = np.asarray(t0, dtype=float)
-        value = -math.inf
-        for _ in range(_ALT_MAX_ITERS):
-            img = S @ t
-            nrm = float(np.linalg.norm(img))
-            if nrm == 0.0:
-                break
-            u = img / nrm
-            t = lq_align(S.T @ u, q)
-            new_value = float(np.linalg.norm(S @ t))
-            if new_value - value <= 1e-12 * max(1.0, new_value):
-                value = max(value, new_value)
-                break
-            value = new_value
-        best = max(best, value)
-    return best
+
+    def step(t):
+        img = S @ t
+        nrm = float(np.linalg.norm(img))
+        if nrm == 0.0:  # only a start can lie in the kernel of S
+            return t, 0.0
+        t = lq_align(S.T @ (img / nrm), q)
+        return t, float(np.linalg.norm(S @ t))
+
+    starts = _dual_ball_starts(S.shape[1], q_dual, restarts, seed)
+    return _best_start(starts, lambda t: _ascend(t, step, tol=1e-12)).value
 
 
 # ---------------------------------------------------------------------------

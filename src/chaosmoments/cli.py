@@ -35,7 +35,7 @@ def _build_parser():
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: THREADS env var, else 1)",
+        help="accepted for compatibility, no effect (default: THREADS env var, else 1)",
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="output path (default: stdout)")

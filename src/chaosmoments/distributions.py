@@ -24,7 +24,7 @@ WEIBULL = "weibull"
 GAUSSIAN = "gaussian"
 EXP_POWER = "exp-power"
 
-_FAMILIES = (WEIBULL, GAUSSIAN, EXP_POWER)
+FAMILIES = (WEIBULL, GAUSSIAN, EXP_POWER)
 
 #: survival level defining the normalization scale
 _TARGET = math.exp(-1.0)
@@ -231,5 +231,5 @@ def make_distribution(family, r=None):
         d = TailDistribution(EXP_POWER, r, scale)
         assert abs(float(d.survival(1.0)) - _TARGET) < 1e-10
         return d
-    raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 

@@ -28,6 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from . import rng as rngmod
+from .functionals import lq_norm
+
 
 _BISECT_ITERS = 60
 _ALT_TOL = 1e-9
@@ -182,6 +185,19 @@ def _allocate(mags, tails, tail_set, p):
             total += strict_budget(i, lam)
         return total
 
+    def point(b):
+        # the coordinates that spend the budgets b, and the objective there
+        x = np.zeros(n)
+        x[quad] = np.sqrt(b[quad])
+        for i in tail_idx:
+            x[i] = float(tails[i].tail_N_inv(b[i])) if b[i] >= 1.0 else math.sqrt(b[i])
+        return float(mags @ x), x
+
+    def spent(x):
+        # budgets hat_N_i(x_i) and their sum, added in coordinate order
+        b = np.array([float(tails[i].hat_N(x[i])) for i in range(n)])
+        return b, float(sum(b))
+
     def finish(lam, b_lin_free):
         b = np.zeros(n)
         b[quad] = np.minimum(1.0, (a_quad / (2.0 * lam)) ** 2)
@@ -191,11 +207,7 @@ def _allocate(mags, tails, tail_set, p):
             b[i] = 1.0
         if b_lin_free is not None:
             b[b_lin_free[0]] = b_lin_free[1]
-        x = np.zeros(n)
-        x[quad] = np.sqrt(b[quad])
-        for i in tail_idx:
-            x[i] = float(tails[i].tail_N_inv(b[i])) if b[i] >= 1.0 else math.sqrt(b[i])
-        return float(mags @ x), x
+        return point(b)
 
     def bisect(target, lam_floor):
         # continuous_sum is nonincreasing in lam
@@ -235,7 +247,7 @@ def _allocate(mags, tails, tail_set, p):
         if not tight:
             return finish(lam, None)
         value, x = finish(lam, None)
-        total = float(sum(tails[i].hat_N(x[i]) for i in range(n)))
+        total = spent(x)[1]
         if total > p:
             x *= p / total  # conservative trim; deviation is O(bisection tol)
             value = float(mags @ x)
@@ -244,22 +256,10 @@ def _allocate(mags, tails, tail_set, p):
     lam, tight = bisect(p, 0.0)
     value, x = finish(lam, None)
     if tight:
-        total = float(sum(tails[i].hat_N(x[i]) for i in range(n)))
+        b, total = spent(x)
         if total > p and total > 0.0:
             # renormalize budgets exactly onto the boundary
-            scale = p / total
-            b = np.array(
-                [float(tails[i].hat_N(x[i])) * scale for i in range(n)]
-            )
-            x = np.zeros(n)
-            x[quad] = np.sqrt(b[quad])
-            for i in tail_idx:
-                x[i] = (
-                    float(tails[i].tail_N_inv(b[i]))
-                    if b[i] >= 1.0
-                    else math.sqrt(b[i])
-                )
-            value = float(mags @ x)
+            value, x = point(b * (p / total))
     return value, x
 
 
@@ -417,17 +417,11 @@ def _angle_grids(dim, resolution):
 
 @functools.lru_cache(maxsize=256)
 def _boundary_cloud(ball, resolution):
-    """Boundary points and their angles at the given angular resolution."""
+    """Boundary points at the given angular resolution."""
     if ball.dim == 1:
         dirs = np.array([[1.0], [-1.0]])
-        angles = None
     else:
-        grids = _angle_grids(ball.dim, resolution)
-        dirs = _angles_to_dirs(ball.dim, grids)
-        if ball.dim == 2:
-            angles = dirs  # recomputed locally from atan2 when refining
-        else:
-            angles = None
+        dirs = _angles_to_dirs(ball.dim, _angle_grids(ball.dim, resolution))
     c = boundary_scale(dirs, ball)
     return dirs * c[:, None]
 
@@ -507,18 +501,74 @@ def brute_norm_XYp(A2, ballX, ballY, grid_resolution=1e-2):
 
 
 # ---------------------------------------------------------------------------
-# Bilinear norm by alternating maximization
+# Multi-start ascent: the one loop behind every nonconvex supremum
 # ---------------------------------------------------------------------------
 
-def _random_boundary_point(rng, ball):
-    u = rng.standard_normal(ball.dim)
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
-        u[0] = 1.0
-        nrm = 1.0
-    u /= nrm
-    return u * boundary_scale(u[None, :], ball)[0]
+def _ascend(state, step, tol=_ALT_TOL):
+    """Run ``state, value = step(state)`` until the gain stalls.
 
+    Stops once a step gains at most ``tol * max(1, |value|)``; returns
+    (value, state, converged).  ``converged`` is False when the iteration
+    cap is hit first; every step before the cap gained, so the value kept
+    is still the best one seen.
+    """
+    value = -math.inf
+    for _ in range(_ALT_MAX_ITERS):
+        state, new_value = step(state)
+        if new_value - value <= tol * max(1.0, abs(new_value)):
+            return max(value, new_value), state, True
+        value = new_value
+    return value, state, False
+
+
+def _best_start(starts, climb):
+    """Best (value, point, converged) that ``climb`` reaches from a start.
+
+    A tie keeps the earlier start.  The value is attained by a feasible
+    point, so it is a certified lower bound of the supremum.
+    """
+    best = NormResult(-math.inf, None, False)
+    for start in starts:
+        value, point, converged = climb(start)
+        if value > best.value:
+            best = NormResult(value, point, converged)
+    best.restarts_used = len(starts)
+    return best
+
+
+def _boundary_starts(first, ball, restarts, seed):
+    """``first``, then ``restarts - 1`` seeded points on the ball boundary."""
+    starts = [first]
+    for i in range(restarts - 1):
+        u = rngmod.stream(seed, rngmod.RESTART_STREAM + i).standard_normal(ball.dim)
+        nrm = np.linalg.norm(u)
+        if nrm == 0.0:
+            u[0] = 1.0
+            nrm = 1.0
+        u /= nrm
+        starts.append(u * boundary_scale(u[None, :], ball)[0])
+    return starts
+
+
+def _project_dual_ball(f, q_dual):
+    nrm = np.abs(f).max() if math.isinf(q_dual) else lq_norm(f, q_dual)
+    if nrm > 1.0:
+        return f / nrm
+    return f
+
+
+def _dual_ball_starts(m, q_dual, restarts, seed):
+    """e_0 ... e_{m-1}, then ``restarts`` seeded normals in the ell_{q_dual} ball."""
+    starts = [np.eye(1, m, k)[0] for k in range(m)]
+    for i in range(restarts):
+        f = rngmod.stream(seed, rngmod.RESTART_STREAM + i).standard_normal(m)
+        starts.append(_project_dual_ball(f, q_dual))
+    return starts
+
+
+# ---------------------------------------------------------------------------
+# Bilinear norm by alternating maximization
+# ---------------------------------------------------------------------------
 
 def norm_XYp(A2, ballX, ballY, restarts=16, seed=0):
     """sup of x' A2 y over the ball pair, by alternating exact sups.
@@ -527,8 +577,6 @@ def norm_XYp(A2, ballX, ballY, restarts=16, seed=0):
     nondecreasing and the returned value is a certified lower bound of
     the true bilinear norm.
     """
-    from . import rng as rngmod
-
     A2 = np.asarray(A2, dtype=float)
     if A2.ndim != 2:
         raise ValueError("A2 must be a matrix")
@@ -540,32 +588,14 @@ def norm_XYp(A2, ballX, ballY, restarts=16, seed=0):
     if not A2.any():
         return NormResult(0.0, np.zeros(n1 + n2), True, 0)
 
-    # warm start from the top singular pair, plus seeded ball points
-    u, _, vt = np.linalg.svd(A2)
-    starts = [vt[0]]
-    for i in range(restarts - 1):
-        gen = rngmod.stream(seed, rngmod.RESTART_STREAM + i)
-        starts.append(_random_boundary_point(gen, ballY))
+    def step(state):
+        x = norm_Xp(A2 @ state[1], ballX).maximizer
+        y = norm_Xp(A2.T @ x, ballY).maximizer
+        return (x, y), float(x @ A2 @ y)
 
-    best = NormResult(-math.inf, np.zeros(n1 + n2), False, 0)
-    for ridx, y0 in enumerate(starts):
-        y = np.asarray(y0, dtype=float)
-        if not y.any():
-            y = np.ones(n2)
-        value = -math.inf
-        converged = False
-        for _ in range(_ALT_MAX_ITERS):
-            rx = norm_Xp(A2 @ y, ballX)
-            x = rx.maximizer
-            ry = norm_Xp(A2.T @ x, ballY)
-            y = ry.maximizer
-            new_value = float(x @ A2 @ y)
-            if new_value - value <= _ALT_TOL * max(1.0, abs(new_value)):
-                value = max(value, new_value)
-                converged = True
-                break
-            value = new_value
-        if value > best.value:
-            best = NormResult(value, np.concatenate([x, y]), converged, ridx)
-    best.restarts_used = len(starts)
+    # warm start from the top singular pair, plus seeded ball points
+    _, _, vt = np.linalg.svd(A2)
+    starts = _boundary_starts(vt[0], ballY, restarts, seed)
+    best = _best_start(starts, lambda y: _ascend((None, y), step))
+    best.maximizer = np.concatenate(best.maximizer)
     return best

@@ -10,14 +10,13 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bounds as bd
 from . import rng as rngmod
-from .distributions import EXP_POWER, GAUSSIAN, WEIBULL, make_distribution
+from .distributions import EXP_POWER, FAMILIES, GAUSSIAN, make_distribution
 from .dual_norms import ConfigurationError
 from .estimates import McConfig
 from .functionals import CoefficientTensor
@@ -30,8 +29,6 @@ ENSEMBLES = (
     "rank1",
     "hilbert",
 )
-
-_FAMILIES = (WEIBULL, EXP_POWER, GAUSSIAN)
 
 CSV_COLUMNS = [
     "ensemble", "n1", "n2", "m", "q", "r", "p", "seed",
@@ -184,9 +181,9 @@ def parse_config(text):
     dist = doc.get("dist", {})
     for key, attr in (("family_x", "family_x"), ("family_y", "family_y")):
         if key in dist:
-            if dist[key] not in _FAMILIES:
+            if dist[key] not in FAMILIES:
                 raise ConfigurationError(
-                    f"unknown family {dist[key]!r}; expected one of {_FAMILIES}"
+                    f"unknown family {dist[key]!r}; expected one of {FAMILIES}"
                 )
             kwargs[attr] = dist[key]
     mc = doc.get("mc", {})
@@ -240,6 +237,10 @@ def generate_ensemble(cfg, index, q=None):
     return CoefficientTensor(entries, q=q)
 
 
+#: solver and sampler failures that flag a row; anything else is a bug and raises
+_ROW_FAILURES = (ConfigurationError, ArithmeticError, np.linalg.LinAlgError)
+
+
 def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
     flags = []
     A = generate_ensemble(cfg, index, q=q)
@@ -263,7 +264,7 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
             for name, diag in upper.diagnostics.items():
                 if not diag["converged"]:
                     flags.append(f"nonconverged:{name}")
-        except Exception as exc:  # solver failure: flag the row, keep going
+        except _ROW_FAILURES as exc:  # flag the row, keep going
             flags.append(f"term-error:{type(exc).__name__}")
 
     mc_lhs = math.nan
@@ -274,7 +275,7 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
             mc_lhs, mc_stderr = est.value, est.stderr
             if est.warning:
                 flags.append("mc-unreliable")
-        except Exception as exc:
+        except _ROW_FAILURES as exc:
             flags.append(f"mc-error:{type(exc).__name__}")
 
     if mc_lhs and mc_lhs > 0.0 and math.isfinite(mc_lhs):
@@ -299,25 +300,19 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
 
 
 def run_experiment(cfg, threads=1, deterministic=True, simulate=True):
-    """All grid points in deterministic order; flagged rows do not abort."""
-    points = [
-        (q, r, p, index)
+    """All grid points in deterministic order; flagged rows do not abort.
+
+    ``threads`` is accepted for compatibility and has no effect: the points
+    are computed one after another (the solvers hold the GIL, so a thread
+    pool only added contention).
+    """
+    return [
+        _run_point(cfg, q, r, p, index, deterministic, simulate)
         for q in cfg.q_grid
         for r in cfg.r_grid
         for p in cfg.p_grid
         for index in range(cfg.instances)
     ]
-
-    def work(point):
-        q, r, p, index = point
-        return _run_point(cfg, q, r, p, index, deterministic, simulate)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, points))
-    else:
-        rows = [work(point) for point in points]
-    return rows
 
 
 # ---------------------------------------------------------------------------

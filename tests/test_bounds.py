@@ -144,3 +144,43 @@ def test_diagnostics_report_convergence():
     rep = assemble_bound(SCALAR, TWO_SIDED, 2.0, W2, W2)
     for name in ("T2", "T3", "T4r", "T5"):
         assert rep.diagnostics[name]["converged"]
+
+
+PINNED_TENSOR = np.array([
+    [[0.8, -1.3], [0.2, 0.5], [-0.7, 1.1]],
+    [[-0.4, 0.9], [1.6, -0.3], [0.1, -0.6]],
+    [[0.3, 0.0], [-1.2, 0.7], [0.9, 0.4]],
+])
+
+# upper-general terms at p = 3, restarts 2, seed 7, as .17g; a refactor of
+# the solvers must leave them alone, since they are reported numbers
+PINNED_TERMS = {
+    (2.0, 1.0): {
+        "T1": 3.3615472627943221, "T2": 6.371652304547144,
+        "T3": 5.8799351549524816, "T4r": 6.6025471989274642,
+        "T4c": 6.7710569114509367, "T5": 15.617147638872442,
+        "T6": 6.1010772576718875,
+    },
+    (2.0, 2.0): {
+        "T1": 3.3615472627943221, "T2": 5.057316939440029,
+        "T3": 5.0232084701906068, "T4r": 5.4722668828610512,
+        "T4c": 5.5325337302951123, "T5": 9.4061080603361873,
+        "T6": 6.1010772576718875,
+    },
+    (1.0, 1.0): {
+        "T1": 4.7474435751997586, "T2": 8.8590886905611121,
+        "T3": 8.9999714025126742, "T4r": 9.2152955386295066,
+        "T4c": 7.6133339133123084, "T5": 20.752746727443633,
+        "T6": 8.3462566459461343,
+    },
+}
+
+
+@pytest.mark.parametrize("q,r", sorted(PINNED_TERMS))
+def test_upper_general_terms_pinned(q, r):
+    d = make_distribution(EXP_POWER, r)
+    A = CoefficientTensor(PINNED_TENSOR, q=q)
+    rep = assemble_bound(A, UPPER_GENERAL, 3.0, d, d, restarts=2, seed=7)
+    assert rep.terms.keys() == PINNED_TERMS[q, r].keys()
+    for name, value in PINNED_TERMS[q, r].items():
+        assert rep.terms[name] == pytest.approx(value, rel=1e-12), name

@@ -9,6 +9,9 @@ from chaosmoments.distributions import EXP_POWER, WEIBULL, make_distribution
 from chaosmoments.dual_norms import (
     ConfigurationError,
     DualBall,
+    _ALT_MAX_ITERS,
+    _ascend,
+    _best_start,
     ball,
     ball_membership,
     boundary_scale,
@@ -243,3 +246,25 @@ def test_invalid_ball_rejected():
         ball(W2, 0.5, 2)
     with pytest.raises(ConfigurationError):
         DualBall(2.0, ())
+
+
+def test_ascend_reports_the_iteration_cap():
+    # every step gains 1, so the ascent never stalls
+    value, state, converged = _ascend(0, lambda s: (s + 1, float(s + 1)))
+    assert not converged
+    assert value == state == _ALT_MAX_ITERS
+
+
+def test_ascend_stops_on_a_stall_and_keeps_the_best_value():
+    values = iter([1.0, 3.0, 2.0])
+    value, state, converged = _ascend(0, lambda s: (s + 1, next(values)))
+    assert converged
+    assert value == 3.0
+    assert state == 3  # the state of the last step, not of the best one
+
+
+def test_best_start_keeps_the_earlier_start_on_a_tie():
+    starts = [(1.0, "a"), (3.0, "b"), (3.0, "c"), (2.0, "d")]
+    res = _best_start(starts, lambda s: (s[0], s[1], s[1] != "b"))
+    assert (res.value, res.maximizer, res.converged) == (3.0, "b", False)
+    assert res.restarts_used == 4

@@ -139,3 +139,24 @@ def test_threading_preserves_order():
     serial = render_report(run_experiment(cfg, threads=1), "csv")
     threaded = render_report(run_experiment(cfg, threads=4), "csv")
     assert serial == threaded
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target,flag", [
+    ("chaosmoments.bounds.assemble_bound", "term-error:LinAlgError"),
+    ("chaosmoments.harness.estimate_moment_decoupled", "mc-error:LinAlgError"),
+])
+def test_only_numerical_failures_become_flags(monkeypatch, target, flag):
+    cfg = parse_config(SMALL)
+    monkeypatch.setattr(target, _raise(np.linalg.LinAlgError("singular")))
+    (row,) = run_experiment(cfg)
+    assert flag in row.flags.split(";")
+    # a programming error is not a row flag: it propagates
+    monkeypatch.setattr(target, _raise(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        run_experiment(cfg)
