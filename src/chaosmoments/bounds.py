@@ -214,14 +214,15 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
 
 def term_T6_operator(A, p, restarts=8, seed=0):
     """p times the worst ell_{q'} -> ell_2 operator norm over slices."""
+    starts = _dual_ball_starts(A.m, A.q_dual, restarts, seed)
     best = 0.0
     for S in A.entries:
-        best = max(best, _slice_operator_norm(S, A.q, A.q_dual, restarts, seed))
+        best = max(best, _slice_operator_norm(S, A.q, starts))
     return p * best
 
 
-def _slice_operator_norm(S, q, q_dual, restarts, seed):
-    """sup_{t in B_{q'}} |S t|_2 by alternating alignment."""
+def _slice_operator_norm(S, q, starts):
+    """sup_{t in B_{q'}} |S t|_2 by alternating alignment from ``starts``."""
     if not S.any():
         return 0.0
 
@@ -233,7 +234,6 @@ def _slice_operator_norm(S, q, q_dual, restarts, seed):
         t = lq_align(S.T @ (img / nrm), q)
         return t, float(np.linalg.norm(S @ t))
 
-    starts = _dual_ball_starts(S.shape[1], q_dual, restarts, seed)
     return _best_start(starts, lambda t: _ascend(t, step, tol=1e-12)).value
 
 

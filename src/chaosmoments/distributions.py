@@ -29,6 +29,10 @@ FAMILIES = (WEIBULL, GAUSSIAN, EXP_POWER)
 #: survival level defining the normalization scale
 _TARGET = math.exp(-1.0)
 
+#: largest N the exp-power interpolation table reaches; past it
+#: ``tail_N_prime_inv`` and ``tail_N_at_prime`` would clamp
+EXP_POWER_MAX_N = 512.0
+
 
 class InvalidShapeError(ValueError):
     """Shape exponent outside the log-concave-tail range r >= 1."""
@@ -204,7 +208,7 @@ class TailDistribution:
 @functools.lru_cache(maxsize=64)
 def _exp_power_prime_table(d):
     """Monotone table of (x, N'(x), N(x)) on [1, x_hi] for interpolation."""
-    x_hi = float(d.tail_N_inv(512.0))
+    x_hi = float(d.tail_N_inv(EXP_POWER_MAX_N))
     xs = np.geomspace(1.0, x_hi, 1 << 16)
     dns = np.asarray(d.tail_N_prime(xs))
     ns = np.asarray(d.tail_N(xs))

@@ -13,7 +13,8 @@ exactly: the linear objective splits per coordinate into a budget
 allocation ``max sum_i a_i hat_N^{-1}(b_i), sum b_i = p`` which is concave
 once the set of coordinates allowed past the knee is fixed, and a simple
 exchange argument shows the optimal "past-the-knee" set consists of the
-largest coefficients.  We enumerate that prefix and solve each concave
+largest coefficients of each law (one coordinate at most for a linear
+law, r = 1).  We enumerate those per-law prefixes and solve each concave
 piece by bisection on the common marginal value.
 
 ``norm_Xp_dual`` keeps the Lagrangian route; it returns the support
@@ -29,10 +30,10 @@ import numpy as np
 from scipy import optimize
 
 from . import rng as rngmod
+from .distributions import EXP_POWER, EXP_POWER_MAX_N
 from .functionals import lq_norm
 
 
-_BISECT_ITERS = 60
 _ALT_TOL = 1e-9
 _ALT_MAX_ITERS = 200
 
@@ -55,22 +56,33 @@ class DualBall:
             raise ConfigurationError("ball needs at least one coordinate")
         if not all(t.normalized for t in self.tails):
             raise ConfigurationError("ball tails must be normalized")
+        if self.p > EXP_POWER_MAX_N and any(d.family == EXP_POWER for d, _ in self.laws):
+            raise ConfigurationError(f"exp-power balls need p <= {EXP_POWER_MAX_N:g}")
 
     @property
     def dim(self):
         return len(self.tails)
 
-    @property
-    def homogeneous(self):
-        return all(t == self.tails[0] for t in self.tails)
+    @functools.cached_property
+    def laws(self):
+        """(distribution, coordinate indices), one entry per distinct law."""
+        return tuple(
+            (d, np.flatnonzero([t == d for t in self.tails])) for d in dict.fromkeys(self.tails)
+        )
 
-    def hat_N_sum(self, x):
+    def hat_N(self, x):
+        """Per-coordinate budgets hat_N_i(x_i), computed one law at a time."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[-1]} != {self.dim}")
-        return sum(
-            self.tails[i].hat_N(x[..., i]) for i in range(self.dim)
-        )
+        b = np.empty(x.shape)
+        for d, idx in self.laws:
+            b[..., idx] = d.hat_N(x[..., idx])
+        return b
+
+    def hat_N_sum(self, x):
+        # added in coordinate order, so the sum does not depend on the grouping
+        return sum(np.moveaxis(self.hat_N(x), -1, 0))
 
 
 def ball(d, p, n):
@@ -125,86 +137,64 @@ def conjugate_1d(d, a, lam):
 # Exact support function via budget allocation
 # ---------------------------------------------------------------------------
 
-def _allocate(mags, tails, tail_set, p):
+def _allocate(mags, ball, tail_set):
     """Maximize sum a_i hat_N_i^{-1}(b_i) over budgets summing to p.
 
-    ``tail_set`` marks coordinates allowed past the knee (b_i >= 1); the
-    rest stay on the quadratic branch (b_i <= 1).  Returns (value, x) or
-    None when the tail set cannot fit in the budget.
+    ``tail_set`` holds the indices of the coordinates allowed past the knee
+    (b_i >= 1); the rest stay on the quadratic branch (b_i <= 1).  Returns
+    (value, x) or None when the tail set cannot fit in the budget; the
+    returned point lies in the ball.  Budgets are computed one law at a time.
 
     Linear-tail coordinates (r = 1) have a constant marginal value past
     the knee, so at most one of them takes more than the unit budget and
     its multiplier is pinned at its own coefficient; that case is solved
     exactly rather than by bisection.
     """
+    p = ball.p
     n = len(mags)
     in_tail = np.zeros(n, dtype=bool)
-    if len(tail_set):
-        in_tail[list(tail_set)] = True
-    k = int(in_tail.sum())
-    if k > p:
+    in_tail[np.asarray(tail_set, dtype=int)] = True
+    if in_tail.sum() > p:
         return None
 
     quad = ~in_tail
     a_quad = mags[quad]
-    tail_idx = np.flatnonzero(in_tail)
-    lin_idx = np.array([i for i in tail_idx if tails[i].linear_tail], dtype=int)
-    strict_idx = np.array(
-        [i for i in tail_idx if not tails[i].linear_tail], dtype=int
-    )
+    tail_laws = [(d, idx[in_tail[idx]]) for d, idx in ball.laws if in_tail[idx].any()]
+    strict = [(d, idx, float(d.tail_N_prime(1.0))) for d, idx in tail_laws if not d.linear_tail]
+    lin_idx = np.array([i for d, idx in tail_laws if d.linear_tail for i in idx], dtype=int)
 
-    def strict_budget(i, lam):
-        d = tails[i]
-        v = mags[i] / lam
-        if v <= float(d.tail_N_prime(1.0)):
-            return 1.0
-        return min(float(d.tail_N_at_prime(v)), p)
-
-    # one shared distribution lets the strict budgets vectorize
-    strict_shared = (
-        tails[strict_idx[0]]
-        if len(strict_idx) and all(tails[i] is tails[strict_idx[0]] for i in strict_idx)
-        else None
-    )
-    if strict_shared is not None:
-        _shared_prime1 = float(strict_shared.tail_N_prime(1.0))
+    def strict_budgets(lam):
+        # per strict law: its tail coordinates, which of them pass the knee
+        # at the multiplier lam, and their budgets (the others spend 1)
+        for d, idx, prime1 in strict:
+            v = mags[idx] / lam
+            over = v > prime1
+            b_over = v[over]
+            if over.any():
+                b_over = np.minimum(d.tail_N_at_prime(b_over), p)
+            yield idx, over, b_over
 
     def continuous_sum(lam):
         # everything except the single free linear coordinate
         total = float(np.minimum(1.0, (a_quad / (2.0 * lam)) ** 2).sum())
-        if strict_shared is not None:
-            v = mags[strict_idx] / lam
-            over = v > _shared_prime1
+        for _, over, b_over in strict_budgets(lam):
             total += float((~over).sum())
-            if over.any():
-                total += float(
-                    np.minimum(strict_shared.tail_N_at_prime(v[over]), p).sum()
-                )
-            return total
-        for i in strict_idx:
-            total += strict_budget(i, lam)
+            total += float(b_over.sum())
         return total
 
     def point(b):
         # the coordinates that spend the budgets b, and the objective there
-        x = np.zeros(n)
-        x[quad] = np.sqrt(b[quad])
-        for i in tail_idx:
-            x[i] = float(tails[i].tail_N_inv(b[i])) if b[i] >= 1.0 else math.sqrt(b[i])
+        x = np.sqrt(b)
+        for d, idx in tail_laws:
+            past = idx[b[idx] >= 1.0]
+            x[past] = d.tail_N_inv(b[past])
         return float(mags @ x), x
 
-    def spent(x):
-        # budgets hat_N_i(x_i) and their sum, added in coordinate order
-        b = np.array([float(tails[i].hat_N(x[i])) for i in range(n)])
-        return b, float(sum(b))
-
     def finish(lam, b_lin_free):
-        b = np.zeros(n)
+        b = in_tail.astype(float)  # tail coordinates start at the knee
         b[quad] = np.minimum(1.0, (a_quad / (2.0 * lam)) ** 2)
-        for i in strict_idx:
-            b[i] = strict_budget(i, lam)
-        for i in lin_idx:
-            b[i] = 1.0
+        for idx, over, b_over in strict_budgets(lam):
+            b[idx[over]] = b_over
         if b_lin_free is not None:
             b[b_lin_free[0]] = b_lin_free[1]
         return point(b)
@@ -237,17 +227,17 @@ def _allocate(mags, tails, tail_set, p):
 
     if len(lin_idx):
         free = int(lin_idx[np.argmax(mags[lin_idx])])
-        fixed_linear = k - 1  # the other linear coordinates sit at b = 1
+        # the other linear coordinates sit at b = 1 (continuous_sum has the strict ones)
         lam_star = mags[free]
-        remainder = p - fixed_linear - continuous_sum(lam_star)
+        remainder = p - (len(lin_idx) - 1) - continuous_sum(lam_star)
         if remainder >= 1.0:
             return finish(lam_star, (free, remainder))
         # the free coordinate is pinned at the knee; rebalance the rest
-        lam, tight = bisect(p - k, lam_star)
+        lam, tight = bisect(p - len(lin_idx), lam_star)
         if not tight:
             return finish(lam, None)
         value, x = finish(lam, None)
-        total = spent(x)[1]
+        total = float(sum(ball.hat_N(x)))
         if total > p:
             x *= p / total  # conservative trim; deviation is O(bisection tol)
             value = float(mags @ x)
@@ -256,7 +246,8 @@ def _allocate(mags, tails, tail_set, p):
     lam, tight = bisect(p, 0.0)
     value, x = finish(lam, None)
     if tight:
-        b, total = spent(x)
+        b = ball.hat_N(x)
+        total = float(sum(b))
         if total > p and total > 0.0:
             # renormalize budgets exactly onto the boundary
             value, x = point(b * (p / total))
@@ -264,7 +255,11 @@ def _allocate(mags, tails, tail_set, p):
 
 
 def norm_Xp(a, ball):
-    """Support function sup { <a, x> : sum hat_N_i(x_i) <= p }, exact."""
+    """Support function sup { <a, x> : sum hat_N_i(x_i) <= p }, exact.
+
+    The ball may mix tail laws: one ``_allocate`` per combination of per-law
+    past-the-knee prefixes, ConfigurationError past 2**15 combinations.
+    """
     a = np.asarray(a, dtype=float).ravel()
     if a.size == 0:
         return NormResult(0.0, np.zeros(0))
@@ -276,36 +271,22 @@ def norm_Xp(a, ball):
     if not mags.any():
         return NormResult(0.0, np.zeros(a.size))
 
-    p = ball.p
-    tails = ball.tails
-    n = a.size
+    prefixes = []
+    for d, idx in ball.laws:
+        order = idx[np.argsort(-mags[idx])]
+        k_max = min(len(idx), 1 if d.linear_tail else int(math.floor(ball.p + 1e-12)))
+        prefixes.append([order[:k] for k in range(k_max + 1)])
+    if math.prod(len(c) for c in prefixes) > 2 ** 15:
+        raise ConfigurationError("more than 2**15 past-the-knee sets to enumerate")
 
     best = (-math.inf, None)
-    if ball.homogeneous:
-        order = np.argsort(-mags)
-        if tails[0].linear_tail:
-            k_max = min(n, 1)
-        else:
-            k_max = min(n, int(math.floor(p + 1e-12)))
-        for k in range(k_max + 1):
-            tail_set = order[:k]
-            out = _allocate(mags, tails, tail_set, p)
-            if out is not None and out[0] > best[0]:
-                best = out
-    else:
-        if n > 15:
-            raise ConfigurationError(
-                "heterogeneous balls are limited to 15 coordinates"
-            )
-        for k in range(min(n, int(math.floor(p + 1e-12))) + 1):
-            for tail_set in itertools.combinations(range(n), k):
-                out = _allocate(mags, tails, tail_set, p)
-                if out is not None and out[0] > best[0]:
-                    best = out
+    for combo in itertools.product(*prefixes):
+        out = _allocate(mags, ball, np.concatenate(combo))
+        if out is not None and out[0] > best[0]:
+            best = out
 
     value, x = best
-    witness = np.sign(a) * x
-    return NormResult(value, witness)
+    return NormResult(value, np.sign(a) * x)
 
 
 def norm_Xp_dual(a, ball):
@@ -319,18 +300,16 @@ def norm_Xp_dual(a, ball):
     if not mags.any():
         return 0.0
     p = ball.p
-    lam_min = 0.0
-    for d, ai in zip(ball.tails, mags):
-        if d.linear_tail:
-            lam_min = max(lam_min, ai)
+    lam_min = max([mags[idx].max() for d, idx in ball.laws if d.linear_tail], default=0.0)
 
     def objective(lam):
         total = lam * p
-        for d, ai in zip(ball.tails, mags):
-            v, _ = conjugate_1d(d, ai, lam)
-            if math.isinf(v):
-                return math.inf
-            total += v
+        for d, idx in ball.laws:
+            for ai in mags[idx]:
+                v, _ = conjugate_1d(d, ai, lam)
+                if math.isinf(v):
+                    return math.inf
+                total += v
         return total
 
     lo = max(lam_min, 1e-12)

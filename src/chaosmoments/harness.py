@@ -30,10 +30,13 @@ ENSEMBLES = (
     "hilbert",
 )
 
+#: the bound terms of a report row; the lower total is all of them but T6
+TERMS = ("T1", "T2", "T3", "T4r", "T4c", "T5", "T6")
+
 CSV_COLUMNS = [
     "ensemble", "n1", "n2", "m", "q", "r", "p", "seed",
     "mc_lhs", "mc_stderr",
-    "T1", "T2", "T3", "T4r", "T4c", "T5", "T6",
+    *TERMS,
     "lower_total", "upper_total", "ratio_lower", "ratio_upper", "flags",
 ]
 
@@ -247,7 +250,7 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
     distX = make_distribution(cfg.family_x, r if cfg.family_x != GAUSSIAN else 2.0)
     distY = make_distribution(cfg.family_y, r if cfg.family_y != GAUSSIAN else 2.0)
 
-    terms = {name: math.nan for name in ("T1", "T2", "T3", "T4r", "T4c", "T5", "T6")}
+    terms = {name: math.nan for name in TERMS}
     lower_total = math.nan
     upper_total = math.nan
     if deterministic:
@@ -258,9 +261,7 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
             )
             terms.update(upper.terms)
             upper_total = upper.total
-            lower_total = sum(
-                upper.terms[name] for name in ("T1", "T2", "T3", "T4r", "T4c", "T5")
-            )
+            lower_total = sum(upper.terms[name] for name in TERMS if name != "T6")
             for name, diag in upper.diagnostics.items():
                 if not diag["converged"]:
                     flags.append(f"nonconverged:{name}")
@@ -334,7 +335,7 @@ def _row_record(row):
         "q": row.q, "r": row.r, "p": row.p, "seed": row.seed,
         "mc_lhs": row.mc_lhs, "mc_stderr": row.mc_stderr,
     }
-    for name in ("T1", "T2", "T3", "T4r", "T4c", "T5", "T6"):
+    for name in TERMS:
         rec[name] = row.terms.get(name, math.nan)
     rec.update(
         lower_total=row.lower_total,
@@ -382,7 +383,7 @@ def read_rows(path):
         records = json.load(fh)
     rows = []
     for rec in records:
-        terms = {name: float(rec[name]) for name in ("T1", "T2", "T3", "T4r", "T4c", "T5", "T6")}
+        terms = {name: float(rec[name]) for name in TERMS}
         rows.append(
             ComparisonRow(
                 ensemble=rec["ensemble"],

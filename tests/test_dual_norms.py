@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from chaosmoments.dual_norms import (
     ConfigurationError,
     DualBall,
     _ALT_MAX_ITERS,
+    _allocate,
     _ascend,
     _best_start,
     ball,
@@ -201,6 +203,84 @@ def test_heterogeneous_ball_mixed_tails():
     brute = brute_norm_Xp(a, b, resolution=5e-3)
     assert val >= brute - 1e-9
     assert abs(val - brute) <= 2e-3 * max(1.0, val)
+    # a linear and a strict coordinate both past the knee: the optimum is
+    # x = (6 - 2 sqrt(2), sqrt(2)), where the marginal values 0.5 and 3 / N'
+    # agree; counting the strict coordinate's budget twice misses it
+    b = DualBall(6.0, (W1, W3))
+    a = np.array([0.5, 3.0])
+    val = norm_Xp(a, b).value
+    brute = brute_norm_Xp(a, b, resolution=5e-3)
+    assert val >= brute - 1e-9
+    assert abs(val - brute) <= 2e-3 * max(1.0, val)
+    assert val == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), rel=1e-12)
+
+
+MIXED_LAWS = [make_distribution(WEIBULL, r) for r in (1.0, 1.5, 3.0)] + [
+    make_distribution(EXP_POWER, r) for r in (1.0, 1.5, 2.0)
+]
+
+
+def _random_mixed_ball(gen):
+    n = int(gen.integers(1, 6))
+    tails = tuple(MIXED_LAWS[i] for i in gen.integers(0, len(MIXED_LAWS), n))
+    return DualBall(float(gen.uniform(1.0, 7.0)), tails)
+
+
+def test_ball_groups_coordinates_by_law():
+    b = DualBall(3.0, (W2, E2, W2, W1, E2))
+    assert [(d, idx.tolist()) for d, idx in b.laws] == [
+        (W2, [0, 2]), (E2, [1, 4]), (W1, [3]),
+    ]
+    x = stream(41, 0).standard_normal((7, 5)) * 2.0
+    per_coordinate = sum(b.tails[i].hat_N(x[..., i]) for i in range(b.dim))
+    np.testing.assert_array_equal(b.hat_N_sum(x), per_coordinate)
+    np.testing.assert_array_equal(
+        b.hat_N(x[0]), [float(b.tails[i].hat_N(x[0, i])) for i in range(b.dim)]
+    )
+
+
+def test_mixed_ball_norm_is_the_best_allocation_over_all_tail_sets():
+    # per-law prefixes must find what every subset of coordinates finds
+    gen = stream(43, 0)
+    for _ in range(40):
+        b = _random_mixed_ball(gen)
+        mags = np.abs(gen.standard_normal(b.dim))
+        best = max(
+            out[0]
+            for k in range(b.dim + 1)
+            for tail_set in itertools.combinations(range(b.dim), k)
+            if (out := _allocate(mags, b, tail_set)) is not None
+        )
+        res = norm_Xp(mags, b)
+        assert res.value == pytest.approx(best, rel=1e-12, abs=1e-12)
+        assert float(b.hat_N_sum(res.maximizer)) <= b.p * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mixed_ball_norm_below_its_convex_relaxation(seed):
+    gen = stream(seed, 0)
+    b = _random_mixed_ball(gen)
+    a = gen.standard_normal(b.dim)
+    value = norm_Xp(a, b).value
+    assert value <= float(norm_Xp_dual(a, b)) + 1e-9 * max(1.0, value)
+
+
+def test_too_many_tail_sets_rejected():
+    # 16 laws of one coordinate each: 2**16 past-the-knee sets
+    laws = tuple(make_distribution(WEIBULL, 1.0 + k / 16.0) for k in range(16))
+    with pytest.raises(ConfigurationError):
+        norm_Xp(np.ones(16), DualBall(2.0, laws))
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_exp_power_ball_at_the_table_top(r):
+    # one coordinate spends the whole budget, so the norm is N^{-1}(p)
+    d = make_distribution(EXP_POWER, r)
+    value = norm_Xp(np.ones(1), ball(d, 512, 1)).value
+    assert value == pytest.approx(float(d.tail_N_inv(512.0)), rel=1e-12)
+    with pytest.raises(ConfigurationError):
+        ball(d, 513, 1)
 
 
 def test_bilinear_identity_matrix():

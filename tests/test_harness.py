@@ -160,3 +160,16 @@ def test_only_numerical_failures_become_flags(monkeypatch, target, flag):
     monkeypatch.setattr(target, _raise(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         run_experiment(cfg)
+
+
+def test_exp_power_row_past_the_table_is_flagged():
+    # p = 600 lies past the exp-power tail table: the row is flagged, not wrong
+    cfg = parse_config(json.dumps({
+        "dimensions": {"n1": 2, "n2": 2, "m": 2},
+        "grids": {"q": [2], "r": [1.5], "p": [600]},
+        "instances": 1,
+        "restarts": 1,
+    }))
+    (row,) = run_experiment(cfg, simulate=False)
+    assert row.flags == "term-error:ConfigurationError"
+    assert all(math.isnan(v) for v in row.terms.values())
