@@ -39,7 +39,7 @@ def main():
     xs = d.sample(stream(0, 0), 200_000)
     print(f"  empirical P(|X| >= 1) = {(np.abs(xs) >= 1.0).mean():.4f}")
     print(f"  empirical E X^2       = {np.mean(xs ** 2):.4f}"
-          f"   (quadrature: {d.raw_moment(2):.4f})")
+          f"   (closed form: {d.raw_moment(2):.4f})")
 
 
 if __name__ == "__main__":

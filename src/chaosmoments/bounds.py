@@ -122,7 +122,8 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
     (a nonnegative combination of Euclidean norms of linear images), so
     the maximum sits on the dual-ball boundary; projected subgradient
     ascent with coordinate-vector and random starts returns a certified
-    lower bound.
+    lower bound.  A climb that stops on its 100-step cap, rather than on a
+    stall or a zero subgradient, is reported as not converged.
     """
     if side == "rows":
         T = A
@@ -173,6 +174,8 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
                 stalled += 1
                 if stalled >= 8:  # step size has shrunk past usefulness
                     break
+        else:
+            return best_value, best_f, False  # left on the step cap
         return best_value, best_f, True
 
     # No -e_k starts: the objective is even, and every step (matmul, norm,

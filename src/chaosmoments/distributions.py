@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 WEIBULL = "weibull"
 GAUSSIAN = "gaussian"
@@ -101,27 +101,38 @@ class TailDistribution:
         if self.linear_tail:
             raise ValueError("N' is constant for r = 1")
         if self.family == EXP_POWER:
-            xs, dns, _ = _exp_power_prime_table(self)
-            x = np.interp(v, dns, xs)
-            return x
-        # weibull: N'(t) = r t^(r-1)
-        if self.r == 1.0:
-            raise ValueError("N' is constant for r = 1")
-        return (v / self.r) ** (1.0 / (self.r - 1.0))
+            xs, dns, _, _ = _exp_power_prime_table(self)
+            return np.interp(v, dns, xs)
+        return (v / self.r) ** (1.0 / (self.r - 1.0))  # weibull: N'(t) = r t^(r-1)
 
     def tail_N_at_prime(self, v):
         """N evaluated where N' equals v, i.e. N(N'^{-1}(v)).
 
         Single table interpolation for exp-power tails, which keeps the
-        allocator's bisection off the slow incomplete-gamma path.
+        allocator's root search off the slow incomplete-gamma path.
         """
+        return self.tail_N_at_prime_with_slope(v)[0]
+
+    def tail_N_at_prime_with_slope(self, v):
+        """``tail_N_at_prime(v)`` and its derivative in v: for exp-power
+        tails the slope of the interpolated piece, 0 past the table top."""
         v = np.asarray(v, dtype=float)
         if self.linear_tail:
             raise ValueError("N' is constant for r = 1")
         if self.family == EXP_POWER:
-            xs, dns, ns = _exp_power_prime_table(self)
-            return np.interp(v, dns, ns)
-        return (v / self.r) ** (self.r / (self.r - 1.0))
+            _, dns, ns, slopes = _exp_power_prime_table(self)
+            slope = np.where(v < dns[-1], slopes[np.searchsorted(dns[1:-1], v)], 0.0)
+            return np.interp(v, dns, ns), slope
+        s = self.r / (self.r - 1.0)
+        return (v / self.r) ** s, (s / self.r) * (v / self.r) ** (s - 1.0)
+
+    def tail_N_prime_at(self, b):
+        """N' where N equals b, the inverse of ``tail_N_at_prime``."""
+        b = np.asarray(b, dtype=float)
+        if self.family == EXP_POWER:
+            _, dns, ns, _ = _exp_power_prime_table(self)
+            return np.interp(b, ns, dns)
+        return self.r * b ** ((self.r - 1.0) / self.r)
 
     @property
     def linear_tail(self):
@@ -183,17 +194,17 @@ class TailDistribution:
         return signs * mag
 
     def raw_moment(self, k):
-        """E X^k by quadrature; odd moments are 0 by symmetry."""
+        """E X^k in closed form; odd moments are 0 by symmetry.
+
+        Weibull: E|X|^k = Gamma(1 + k/r).  Exp-power: |X| scale has density
+        r exp(-y^r) / Gamma(1/r), so E|X|^k = Gamma((k+1)/r) / (Gamma(1/r) scale^k).
+        """
         if k % 2 == 1:
             return 0.0
-        val, _ = integrate.quad(
-            lambda t: k * t ** (k - 1) * float(self.survival(t)),
-            0.0,
-            np.inf,
-            epsrel=1e-9,
-            limit=200,
-        )
-        return val
+        if self.family == EXP_POWER:
+            r = self.r
+            return float(special.gamma((k + 1.0) / r) / (special.gamma(1.0 / r) * self.scale ** k))
+        return float(special.gamma(1.0 + k / self.r))
 
     @functools.cached_property
     def variance(self):
@@ -207,12 +218,13 @@ class TailDistribution:
 
 @functools.lru_cache(maxsize=64)
 def _exp_power_prime_table(d):
-    """Monotone table of (x, N'(x), N(x)) on [1, x_hi] for interpolation."""
+    """Monotone table of (x, N'(x), N(x)) on [1, x_hi] for interpolation,
+    with the slope dN/dN' of each interpolated piece."""
     x_hi = float(d.tail_N_inv(EXP_POWER_MAX_N))
     xs = np.geomspace(1.0, x_hi, 1 << 16)
     dns = np.asarray(d.tail_N_prime(xs))
     ns = np.asarray(d.tail_N(xs))
-    return xs, dns, ns
+    return xs, dns, ns, np.diff(ns) / np.diff(dns)
 
 
 def make_distribution(family, r=None):
@@ -230,8 +242,8 @@ def make_distribution(family, r=None):
     if family == WEIBULL:
         return TailDistribution(WEIBULL, r, 1.0)
     if family == EXP_POWER:
-        raw_survival = lambda s: special.gammaincc(1.0 / r, s ** r) - _TARGET
-        scale = optimize.brentq(raw_survival, 1e-8, 16.0, xtol=1e-14, rtol=8.9e-16)
+        # Q(1/r, scale^r) = e^-1 at t = 1
+        scale = float(special.gammainccinv(1.0 / r, _TARGET) ** (1.0 / r))
         d = TailDistribution(EXP_POWER, r, scale)
         assert abs(float(d.survival(1.0)) - _TARGET) < 1e-10
         return d

@@ -14,20 +14,20 @@ allocation ``max sum_i a_i hat_N^{-1}(b_i), sum b_i = p`` which is concave
 once the set of coordinates allowed past the knee is fixed, and a simple
 exchange argument shows the optimal "past-the-knee" set consists of the
 largest coefficients of each law (one coordinate at most for a linear
-law, r = 1).  We enumerate those per-law prefixes and solve each concave
-piece by bisection on the common marginal value.
+law, r = 1).  We enumerate those per-law prefixes as the rows of one
+array and solve every concave piece at once for the common marginal
+value: the kinks of the budget sum bracket its root, and a closed form or
+safeguarded Newton steps inside the bracket find it.
 
 ``norm_Xp_dual`` keeps the Lagrangian route; it returns the support
 function of the convex hull, an upper bound that is tight for r >= 2.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import rng as rngmod
 from .distributions import EXP_POWER, EXP_POWER_MAX_N
@@ -36,6 +36,9 @@ from .functionals import lq_norm
 
 _ALT_TOL = 1e-9
 _ALT_MAX_ITERS = 200
+#: last Newton step in log mu of the allocation root, and the step cap
+_ROOT_TOL = 1e-10
+_ROOT_MAX_ITERS = 100
 
 
 class ConfigurationError(ValueError):
@@ -79,6 +82,17 @@ class DualBall:
         for d, idx in self.laws:
             b[..., idx] = d.hat_N(x[..., idx])
         return b
+
+    @functools.cached_property
+    def _strict(self):
+        """(law, indices, N'(1), N' where N = p) per law with r > 1."""
+        return tuple((d, i, float(d.tail_N_prime(1.0)), float(d.tail_N_prime_at(self.p)))
+                     for d, i in self.laws if not d.linear_tail)
+
+    @functools.cached_property
+    def _linear(self):
+        """Indices of the linear-tail (r = 1) coordinates, law by law."""
+        return np.concatenate([np.zeros(0, int)] + [i for d, i in self.laws if d.linear_tail])
 
     def hat_N_sum(self, x):
         # added in coordinate order, so the sum does not depend on the grouping
@@ -137,135 +151,152 @@ def conjugate_1d(d, a, lam):
 # Exact support function via budget allocation
 # ---------------------------------------------------------------------------
 
-def _allocate(mags, ball, tail_set):
-    """Maximize sum a_i hat_N_i^{-1}(b_i) over budgets summing to p.
+def _branches(mags, ball, mu):
+    """Budgets b and elasticities e = mu db/dmu of every coordinate at
+    mu = 1/lambda, as (b_quad, e_quad, b_tail, e_tail).  With v = a mu the
+    quadratic branch spends min((v/2)^2, 1); past the knee a strict law
+    spends 1 until v passes N'(1), then min(N(N'^{-1}(v)), p), and a linear
+    law spends 1.  ``mu`` broadcasts against the coordinates."""
+    p = ball.p
+    v = mags * mu
+    bq = (0.5 * v) ** 2
+    eq = np.where(bq < 1.0, 2.0 * bq, 0.0)
+    bq = np.minimum(bq, 1.0)
+    bt = np.ones(v.shape)
+    et = np.zeros(v.shape)
+    for d, cols, knee, _ in ball._strict:
+        w = v[..., cols]
+        b, slope = d.tail_N_at_prime_with_slope(w)
+        b = np.minimum(b, p)
+        past = w > knee
+        bt[..., cols] = np.where(past, b, 1.0)
+        et[..., cols] = np.where(past & (b < p), w * slope, 0.0)
+    return bq, eq, bt, et
 
-    ``tail_set`` holds the indices of the coordinates allowed past the knee
-    (b_i >= 1); the rest stay on the quadratic branch (b_i <= 1).  Returns
-    (value, x) or None when the tail set cannot fit in the budget; the
-    returned point lies in the ball.  Budgets are computed one law at a time.
 
-    Linear-tail coordinates (r = 1) have a constant marginal value past
-    the knee, so at most one of them takes more than the unit budget and
-    its multiplier is pinned at its own coefficient; that case is solved
-    exactly rather than by bisection.
+def _by_law(ball, sel, method, values, out):
+    """out[sel] = method of each coordinate's law at values[sel]."""
+    for d, idx in ball.laws:
+        here = np.zeros_like(sel)
+        here[:, idx] = sel[:, idx]
+        if here.any():
+            out[here] = getattr(d, method)(values[here])
+    return out
+
+
+def _point(ball, tail, b):
+    """The coordinates x >= 0 that spend the budgets b, row by row."""
+    return _by_law(ball, tail & (b >= 1.0), "tail_N_inv", b, np.sqrt(b))
+
+
+@np.errstate(all="ignore")  # huge v saturates; Newton masks its own nans
+def _allocations(mags, ball, tail):
+    """Maximize sum a_i hat_N_i^{-1}(b_i) over budgets summing to p, per row.
+
+    Row k of the (K, n) mask ``tail`` lets at most p coordinates past the
+    knee (b_i >= 1); returns the values (K,) and the points (K, n), all in
+    the ball.  The KKT budgets rise with mu = 1/lambda; their sum S changes
+    formula only at kinks, mu = 2/a_i (saturation), N'(1)/a_i (the knee) and
+    N'(N^{-1}(p))/a_i (the clamp), so S at the sorted kinks and their
+    middles finds each row's segment.  There Newton on (log mu, log P), P
+    the varying part of S, solves S = p from the middle, in one step when P
+    is a power law.  Only the largest linear tail (r = 1) takes more than
+    the unit budget, with mu pinned at one over its coefficient.
     """
     p = ball.p
-    n = len(mags)
-    in_tail = np.zeros(n, dtype=bool)
-    in_tail[np.asarray(tail_set, dtype=int)] = True
-    if in_tail.sum() > p:
+    rows = np.arange(len(tail))
+    inv = 1.0 / mags
+    lin = ball._linear
+    cap = np.full(len(tail), np.inf)
+    if lin.size:
+        free = lin[np.argmax(np.where(tail[:, lin], mags[lin], -1.0), axis=1)]
+        cap = np.where(tail[rows, free], inv[free], np.inf)
+    linear = cap < np.inf
+
+    kinks = [[0.0], 2.0 * inv, inv[lin]]
+    kinks = np.concatenate(kinks + [np.outer(k, inv[c]).ravel() for _, c, *k in ball._strict])
+    kinks = np.sort(kinks[kinks < np.inf])
+    pts = np.empty(2 * len(kinks) - 1)
+    pts[0::2] = kinks
+    pts[1::2] = 0.5 * kinks[:-1] + 0.5 * kinks[1:]
+    # S, its elasticity and its varying part at every point, per row: one matmul
+    bq, eq, bt, et = _branches(mags, ball, pts[:, None])
+    quad = np.concatenate((bq, eq, bq * (eq > 0.0)))
+    sums = quad.sum(axis=1)[:, None] + (np.concatenate((bt, et, bt * (et > 0.0))) - quad) @ tail.T
+    sums = sums.reshape(3, len(pts), -1)
+    spent = sums[0, 0::2]
+    top = np.where(linear, np.searchsorted(kinks, cap), len(kinks) - 1)
+    # loose rows need no root: a linear row whose free coordinate takes what
+    # is left at its cap, or a row with budget to spare at every mu
+    loose = np.where(linear, spent[top, rows] <= p, spent[top, rows] < p)
+    j = np.argmax((spent >= p) & (np.arange(len(kinks))[:, None] <= top), axis=0)
+    seek = ~loose & (spent[j, rows] != p)  # the root is inside segment j
+    mid = np.maximum(2 * j - 1, 0)
+    s, e, varying = sums[:, mid, rows]
+    lo = np.where(s < p, pts[mid], kinks[j - 1])
+    hi = np.where(s < p, kinks[j], pts[mid])
+
+    def newton(mu, s, e, varying):
+        rest = p - (s - varying)  # what P must reach; nothing (a rounding gap): the root is lo
+        guess = np.where(rest > 0.0, mu * np.exp(-np.log(varying / rest) * varying / e), lo)
+        return np.where((guess >= lo) & (guess <= hi), guess, 0.5 * lo + 0.5 * hi)
+
+    far = min(2.0 * kinks[-1], np.finfo(float).max)  # past every kink
+    mu = np.where(loose, np.where(linear, cap, far), kinks[j])
+    mu = np.where(seek, newton(pts[mid], s, e, varying), mu)
+    for it in range(_ROOT_MAX_ITERS + 1):
+        bq, eq, bt, et = _branches(mags, ball, mu[:, None])
+        b, e = np.where(tail, bt, bq), np.where(tail, et, eq)
+        if not seek.any():
+            break
+        s, elastic = b.sum(axis=1), e.sum(axis=1)
+        converged = np.abs(p - s) <= _ROOT_TOL * elastic
+        if np.all(converged | ~seek) or it == _ROOT_MAX_ITERS:
+            # the last Newton step in log mu, (p - S) / elasticity <= tol, taken
+            # to first order along the budget path
+            b += e * np.where(seek & converged & (elastic > 0.0), (p - s) / elastic, 0.0)[:, None]
+            break
+        lo, hi = np.where(s < p, mu, lo), np.where(s < p, hi, mu)
+        mu = np.where(seek, newton(mu, s, elastic, (b * (e > 0.0)).sum(axis=1)), mu)
+
+    if lin.size:
+        pinned = np.flatnonzero(loose & linear)
+        b[pinned, free[pinned]] = p - (b[pinned].sum(axis=1) - 1.0)
+    x = _point(ball, tail, b)
+    # feasibility fix-ups where the budget binds, from hat_N(x)
+    hat = _by_law(ball, ~loose[:, None] & (x > 1.0), "tail_N", x, x * x)
+    total = hat.sum(axis=1)
+    over = ~loose & (total > p)
+    renorm = over & ~linear  # budgets exactly onto the boundary
+    if renorm.any():
+        x[renorm] = _point(ball, tail[renorm], hat[renorm] * (p / total[renorm])[:, None])
+    trim = over & linear  # conservative trim; deviation is O(root tol)
+    x[trim] *= (p / total[trim])[:, None]
+    return x @ mags, x
+
+
+def _allocate(mags, ball, tail_set):
+    """``_allocations`` for one past-the-knee set: (value, x), or None if it does not fit."""
+    tail = np.isin(np.arange(len(mags)), tail_set)[None]
+    if tail.sum() > ball.p:
         return None
-
-    quad = ~in_tail
-    a_quad = mags[quad]
-    tail_laws = [(d, idx[in_tail[idx]]) for d, idx in ball.laws if in_tail[idx].any()]
-    strict = [(d, idx, float(d.tail_N_prime(1.0))) for d, idx in tail_laws if not d.linear_tail]
-    lin_idx = np.array([i for d, idx in tail_laws if d.linear_tail for i in idx], dtype=int)
-
-    def strict_budgets(lam):
-        # per strict law: its tail coordinates, which of them pass the knee
-        # at the multiplier lam, and their budgets (the others spend 1)
-        for d, idx, prime1 in strict:
-            v = mags[idx] / lam
-            over = v > prime1
-            b_over = v[over]
-            if over.any():
-                b_over = np.minimum(d.tail_N_at_prime(b_over), p)
-            yield idx, over, b_over
-
-    def continuous_sum(lam):
-        # everything except the single free linear coordinate
-        total = float(np.minimum(1.0, (a_quad / (2.0 * lam)) ** 2).sum())
-        for _, over, b_over in strict_budgets(lam):
-            total += float((~over).sum())
-            total += float(b_over.sum())
-        return total
-
-    def point(b):
-        # the coordinates that spend the budgets b, and the objective there
-        x = np.sqrt(b)
-        for d, idx in tail_laws:
-            past = idx[b[idx] >= 1.0]
-            x[past] = d.tail_N_inv(b[past])
-        return float(mags @ x), x
-
-    def finish(lam, b_lin_free):
-        b = in_tail.astype(float)  # tail coordinates start at the knee
-        b[quad] = np.minimum(1.0, (a_quad / (2.0 * lam)) ** 2)
-        for idx, over, b_over in strict_budgets(lam):
-            b[idx[over]] = b_over
-        if b_lin_free is not None:
-            b[b_lin_free[0]] = b_lin_free[1]
-        return point(b)
-
-    def bisect(target, lam_floor):
-        # continuous_sum is nonincreasing in lam
-        lam_hi = max(mags.max() if mags.any() else 1.0, lam_floor, 1e-12)
-        while continuous_sum(lam_hi) > target and lam_hi < 1e18:
-            lam_hi *= 2.0
-        lam_lo = lam_hi
-        while continuous_sum(lam_lo) < target and lam_lo > max(lam_floor, 1e-18):
-            lam_lo = max(lam_lo / 2.0, lam_floor)
-        if continuous_sum(lam_lo) < target:
-            return lam_lo, False  # slack even at the floor
-        if lam_lo == lam_hi or continuous_sum(lam_hi) > target:
-            return lam_hi, True  # budget floor still above the target
-        # monotone nonincreasing in lam: root-find in log space
-        f = lambda u: continuous_sum(math.exp(u)) - target
-        loga, logb = math.log(lam_lo), math.log(lam_hi)
-        if f(loga) <= 0.0:  # exp/log round-off: the endpoint is the root
-            root = loga
-        elif f(logb) >= 0.0:
-            root = logb
-        else:
-            root = optimize.brentq(f, loga, logb, xtol=1e-13, rtol=8.9e-16)
-        lam = math.exp(root)
-        if continuous_sum(lam) < target:
-            lam = lam * (1.0 - 1e-12)  # stay on the feasible side
-        return lam, True
-
-    if len(lin_idx):
-        free = int(lin_idx[np.argmax(mags[lin_idx])])
-        # the other linear coordinates sit at b = 1 (continuous_sum has the strict ones)
-        lam_star = mags[free]
-        remainder = p - (len(lin_idx) - 1) - continuous_sum(lam_star)
-        if remainder >= 1.0:
-            return finish(lam_star, (free, remainder))
-        # the free coordinate is pinned at the knee; rebalance the rest
-        lam, tight = bisect(p - len(lin_idx), lam_star)
-        if not tight:
-            return finish(lam, None)
-        value, x = finish(lam, None)
-        total = float(sum(ball.hat_N(x)))
-        if total > p:
-            x *= p / total  # conservative trim; deviation is O(bisection tol)
-            value = float(mags @ x)
-        return value, x
-
-    lam, tight = bisect(p, 0.0)
-    value, x = finish(lam, None)
-    if tight:
-        b = ball.hat_N(x)
-        total = float(sum(b))
-        if total > p and total > 0.0:
-            # renormalize budgets exactly onto the boundary
-            value, x = point(b * (p / total))
-    return value, x
+    values, points = _allocations(mags, ball, tail)
+    return float(values[0]), points[0]
 
 
 def norm_Xp(a, ball):
     """Support function sup { <a, x> : sum hat_N_i(x_i) <= p }, exact.
 
-    The ball may mix tail laws: one ``_allocate`` per combination of per-law
-    past-the-knee prefixes, ConfigurationError past 2**15 combinations.
+    Every combination of per-law past-the-knee prefixes is one candidate row
+    of ``_allocations``, all solved together; a tie keeps the earlier
+    combination, and more than 2**15 combinations raise ConfigurationError.
     """
     a = np.asarray(a, dtype=float).ravel()
     if a.size == 0:
         return NormResult(0.0, np.zeros(0))
     if a.size != ball.dim:
         raise ValueError(f"dimension mismatch: {a.size} != {ball.dim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
     mags = np.abs(a)
     if not mags.any():
@@ -275,18 +306,18 @@ def norm_Xp(a, ball):
     for d, idx in ball.laws:
         order = idx[np.argsort(-mags[idx])]
         k_max = min(len(idx), 1 if d.linear_tail else int(math.floor(ball.p + 1e-12)))
-        prefixes.append([order[:k] for k in range(k_max + 1)])
-    if math.prod(len(c) for c in prefixes) > 2 ** 15:
+        masks = np.zeros((k_max + 1, a.size), dtype=bool)
+        masks[:, order[:k_max]] = np.arange(k_max + 1)[:, None] > np.arange(k_max)
+        prefixes.append(masks)
+    if math.prod(len(m) for m in prefixes) > 2 ** 15:
         raise ConfigurationError("more than 2**15 past-the-knee sets to enumerate")
-
-    best = (-math.inf, None)
-    for combo in itertools.product(*prefixes):
-        out = _allocate(mags, ball, np.concatenate(combo))
-        if out is not None and out[0] > best[0]:
-            best = out
-
-    value, x = best
-    return NormResult(value, np.sign(a) * x)
+    tail = prefixes[0]
+    for masks in prefixes[1:]:  # in itertools.product order
+        tail = (tail[:, None] | masks).reshape(-1, a.size)
+        tail = tail[tail.sum(axis=1) <= ball.p]
+    values, points = _allocations(mags, ball, tail)
+    best = int(np.argmax(values))
+    return NormResult(float(values[best]), np.sign(a) * points[best])
 
 
 def norm_Xp_dual(a, ball):
