@@ -15,7 +15,6 @@ error, 3 I/O error.
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -34,8 +33,8 @@ def _build_parser():
     parser.add_argument("--config", help="path to a JSON experiment document")
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
     parser.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted for compatibility, no effect (default: THREADS env var, else 1)",
+        "--threads", type=int, default=1,
+        help="accepted for compatibility, no effect (must be >= 1)",
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="output path (default: stdout)")
@@ -67,13 +66,9 @@ def _load_config(args):
 
 
 def _threads(args):
-    if args.threads is not None:
-        value = args.threads
-    else:
-        value = int(os.environ.get("THREADS", "1"))
-    if value < 1:
+    if args.threads < 1:
         raise ConfigurationError("threads must be >= 1")
-    return value
+    return args.threads
 
 
 def _emit(text, args):
@@ -137,7 +132,7 @@ def _run_report(args):
         rows = harness.read_rows(args.target)
     except OSError as exc:
         raise IOError(f"cannot read report {args.target}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed report {args.target}: {exc}") from exc
     _emit(harness.render_report(rows, args.format), args)
     return 1 if any(row.flags for row in rows) else 0

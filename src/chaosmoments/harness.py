@@ -1,8 +1,11 @@
 """Batch experiment runner: ensembles, grids, and comparison reports.
 
-Configuration is a JSON document; every run is a pure function of the
-document plus the master seed, and rows are emitted in deterministic grid
-order so re-runs produce byte-identical reports.
+An experiment is an ``ExperimentConfig``, which checks its values however it
+is built: by ``parse_config`` from a JSON document (type-checked against the
+one ``_SCHEMA`` table first), in Python, or with ``dataclasses.replace``.
+Every run is a pure function of the config, master seed included, and rows
+are emitted in deterministic grid order so re-runs produce byte-identical
+reports.  ``CSV_COLUMNS`` names the report columns once, for both formats.
 """
 
 import csv
@@ -10,7 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +42,20 @@ CSV_COLUMNS = [
     *TERMS,
     "lower_total", "upper_total", "ratio_lower", "ratio_upper", "flags",
 ]
+#: how ``read_rows`` converts a column; every other column is a float
+_COLUMN_TYPES = {**dict.fromkeys(("n1", "n2", "m", "seed"), int), "ensemble": str, "flags": str}
+
+#: the smallest accepted value of each integer setting
+_MINIMUM = dict(n1=1, n2=1, m=1, instances=1, restarts=1, total_samples=1, batches=8)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; every value is checked here, whichever way it is built.
+
+    The grids are stored as tuples of floats and ``density`` as a float.
+    """
+
     ensemble: str = "dense-gaussian-coefficients"
     density: float = 0.3
     n1: int = 4
@@ -61,8 +74,29 @@ class ExperimentConfig:
     unit_variance: bool = False
 
     def __post_init__(self):
-        # here rather than in parse_config so that a --seed override,
-        # applied with dataclasses.replace, is checked as well
+        if self.ensemble not in ENSEMBLES:
+            raise ConfigurationError(
+                f"unknown ensemble {self.ensemble!r}; expected one of {ENSEMBLES}"
+            )
+        object.__setattr__(self, "density", float(self.density))
+        if not 0.0 < self.density <= 1.0:
+            raise ConfigurationError("density must lie in (0, 1]")
+        for name, low in _MINIMUM.items():
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}")
+        for key in ("q", "r", "p"):
+            grid = tuple(float(v) for v in getattr(self, f"{key}_grid"))
+            if not grid:
+                raise ConfigurationError(f"grid {key} must be nonempty")
+            bad = [v for v in grid if not 1.0 <= v < math.inf]
+            if bad:
+                raise ConfigurationError(f"grid {key} values {bad} violate 1 <= {key} < inf")
+            object.__setattr__(self, f"{key}_grid", grid)
+        for family in (self.family_x, self.family_y):
+            if family not in FAMILIES:
+                raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if self.total_samples % self.batches != 0:
+            raise ConfigurationError("total_samples must be divisible by batches")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigurationError(f"seed {self.seed} is outside [0, 2^64)")
         if self.ensemble == "hilbert" and any(q != 2.0 for q in self.q_grid):
@@ -98,17 +132,22 @@ class ComparisonRow:
 
 
 _REAL = (int, float)
-#: a leaf is a type, or a one-element list holding the type of every entry
+#: JSON key -> subtable, or (ExperimentConfig field, type); a one-element
+#: list as the type holds the type of every entry
 _SCHEMA = {
-    "ensemble": str,
-    "density": _REAL,
-    "dimensions": {"n1": int, "n2": int, "m": int},
-    "grids": {"q": [_REAL], "r": [_REAL], "p": [_REAL]},
-    "dist": {"family_x": str, "family_y": str},
-    "mc": {"total_samples": int, "batches": int, "unit_variance": bool},
-    "instances": int,
-    "restarts": int,
-    "seed": int,
+    "ensemble": ("ensemble", str),
+    "density": ("density", _REAL),
+    "dimensions": {"n1": ("n1", int), "n2": ("n2", int), "m": ("m", int)},
+    "grids": {"q": ("q_grid", [_REAL]), "r": ("r_grid", [_REAL]), "p": ("p_grid", [_REAL])},
+    "dist": {"family_x": ("family_x", str), "family_y": ("family_y", str)},
+    "mc": {
+        "total_samples": ("total_samples", int),
+        "batches": ("batches", int),
+        "unit_variance": ("unit_variance", bool),
+    },
+    "instances": ("instances", int),
+    "restarts": ("restarts", int),
+    "seed": ("seed", int),
 }
 _KIND_NAMES = {str: "a string", _REAL: "a finite number", int: "an integer", bool: "a boolean"}
 
@@ -122,93 +161,37 @@ def _is_kind(value, kind):
     return kind is not _REAL or abs(value) <= sys.float_info.max
 
 
-def _check_keys(doc, schema, prefix=""):
+def _collect_fields(doc, schema, fields, prefix=""):
+    """Type-check ``doc`` against ``schema`` and gather its values by field name."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{prefix[:-1] or 'configuration'} must be a JSON object")
     unknown = [prefix + k for k in doc if k not in schema]
     if unknown:
         raise ConfigurationError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
-    for k, v in doc.items():
-        sub = schema[k]
-        if isinstance(sub, dict):
-            if not isinstance(v, dict):
-                raise ConfigurationError(f"{prefix + k} must be an object")
-            _check_keys(v, sub, prefix + k + ".")
-        elif isinstance(sub, list):
-            if not isinstance(v, list) or not all(_is_kind(x, sub[0]) for x in v):
+    for key, value in doc.items():
+        if isinstance(schema[key], dict):
+            _collect_fields(value, schema[key], fields, prefix + key + ".")
+            continue
+        field, kind = schema[key]
+        if isinstance(kind, list):
+            if not isinstance(value, list) or not all(_is_kind(x, kind[0]) for x in value):
                 raise ConfigurationError(
-                    f"{prefix + k} must be a list whose entries are each {_KIND_NAMES[sub[0]]}"
+                    f"{prefix + key} must be a list whose entries are each {_KIND_NAMES[kind[0]]}"
                 )
-        elif not _is_kind(v, sub):
-            raise ConfigurationError(f"{prefix + k} must be {_KIND_NAMES[sub]}")
+        elif not _is_kind(value, kind):
+            raise ConfigurationError(f"{prefix + key} must be {_KIND_NAMES[kind]}")
+        fields[field] = value
 
 
 def parse_config(text):
-    """Parse and validate the JSON experiment document."""
+    """Parse the JSON experiment document into a checked ExperimentConfig."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed configuration: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigurationError("configuration must be a JSON object")
-    _check_keys(doc, _SCHEMA)
-
-    cfg = ExperimentConfig()
-    kwargs = {}
-    if "ensemble" in doc:
-        if doc["ensemble"] not in ENSEMBLES:
-            raise ConfigurationError(
-                f"unknown ensemble {doc['ensemble']!r}; expected one of {ENSEMBLES}"
-            )
-        kwargs["ensemble"] = doc["ensemble"]
-    if "density" in doc:
-        density = float(doc["density"])
-        if not 0.0 < density <= 1.0:
-            raise ConfigurationError("density must lie in (0, 1]")
-        kwargs["density"] = density
-    dims = doc.get("dimensions", {})
-    for key in ("n1", "n2", "m"):
-        if key in dims:
-            value = dims[key]
-            if value < 1:
-                raise ConfigurationError(f"dimension {key} must be >= 1")
-            kwargs[key] = value
-    grids = doc.get("grids", {})
-    for key, attr, low in (("q", "q_grid", 1.0), ("r", "r_grid", 1.0), ("p", "p_grid", 1.0)):
-        if key in grids:
-            values = tuple(float(v) for v in grids[key])
-            if not values:
-                raise ConfigurationError(f"grid {key} must be nonempty")
-            bad = [v for v in values if v < low]
-            if bad:
-                raise ConfigurationError(f"grid {key} values {bad} violate {key} >= {low}")
-            kwargs[attr] = values
-    dist = doc.get("dist", {})
-    for key, attr in (("family_x", "family_x"), ("family_y", "family_y")):
-        if key in dist:
-            if dist[key] not in FAMILIES:
-                raise ConfigurationError(
-                    f"unknown family {dist[key]!r}; expected one of {FAMILIES}"
-                )
-            kwargs[attr] = dist[key]
-    mc = doc.get("mc", {})
-    if "total_samples" in mc:
-        if mc["total_samples"] < 1:
-            raise ConfigurationError("mc.total_samples must be >= 1")
-        kwargs["total_samples"] = mc["total_samples"]
-    if "batches" in mc:
-        if mc["batches"] < 8:
-            raise ConfigurationError("mc.batches must be >= 8")
-        kwargs["batches"] = mc["batches"]
-    if "unit_variance" in mc:
-        kwargs["unit_variance"] = mc["unit_variance"]
-    for key in ("instances", "restarts", "seed"):
-        if key in doc:
-            kwargs[key] = doc[key]
-            if key != "seed" and kwargs[key] < 1:
-                raise ConfigurationError(f"{key} must be >= 1")
-    cfg = replace(cfg, **kwargs)
-    if cfg.total_samples % cfg.batches != 0:
-        raise ConfigurationError("mc.total_samples must be divisible by mc.batches")
-    return cfg
+    fields = {}
+    _collect_fields(doc, _SCHEMA, fields)
+    return ExperimentConfig(**fields)
 
 
 def generate_ensemble(cfg, index, q=None):
@@ -329,22 +312,7 @@ def _fmt(x):
 
 
 def _row_record(row):
-    rec = {
-        "ensemble": row.ensemble,
-        "n1": row.n1, "n2": row.n2, "m": row.m,
-        "q": row.q, "r": row.r, "p": row.p, "seed": row.seed,
-        "mc_lhs": row.mc_lhs, "mc_stderr": row.mc_stderr,
-    }
-    for name in TERMS:
-        rec[name] = row.terms.get(name, math.nan)
-    rec.update(
-        lower_total=row.lower_total,
-        upper_total=row.upper_total,
-        ratio_lower=row.ratio_lower,
-        ratio_upper=row.ratio_upper,
-        flags=row.flags,
-    )
-    return rec
+    return {c: row.terms.get(c, math.nan) if c in TERMS else getattr(row, c) for c in CSV_COLUMNS}
 
 
 def render_report(rows, fmt):
@@ -381,22 +349,11 @@ def read_rows(path):
     """Load rows from a JSON report for re-serialization."""
     with open(path) as fh:
         records = json.load(fh)
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise ConfigurationError("a report must be a JSON list of row objects")
     rows = []
     for rec in records:
-        terms = {name: float(rec[name]) for name in TERMS}
-        rows.append(
-            ComparisonRow(
-                ensemble=rec["ensemble"],
-                n1=int(rec["n1"]), n2=int(rec["n2"]), m=int(rec["m"]),
-                q=float(rec["q"]), r=float(rec["r"]), p=float(rec["p"]),
-                seed=int(rec["seed"]),
-                mc_lhs=float(rec["mc_lhs"]), mc_stderr=float(rec["mc_stderr"]),
-                terms=terms,
-                lower_total=float(rec["lower_total"]),
-                upper_total=float(rec["upper_total"]),
-                ratio_lower=float(rec["ratio_lower"]),
-                ratio_upper=float(rec["ratio_upper"]),
-                flags=rec["flags"],
-            )
-        )
+        values = {c: _COLUMN_TYPES.get(c, float)(rec[c]) for c in CSV_COLUMNS}
+        terms = {name: values.pop(name) for name in TERMS}
+        rows.append(ComparisonRow(terms=terms, **values))
     return rows

@@ -21,7 +21,7 @@ from chaosmoments.bounds import (
     term_T6_operator,
 )
 from chaosmoments.distributions import EXP_POWER, WEIBULL, make_distribution
-from chaosmoments.dual_norms import ball, brute_norm_Xp, norm_Xp
+from chaosmoments.dual_norms import ball, norm_Xp
 from chaosmoments.estimates import McConfig
 from chaosmoments.functionals import (
     CoefficientTensor,
@@ -35,6 +35,7 @@ from chaosmoments.montecarlo import (
     gk_moment,
 )
 from chaosmoments.rng import stream
+from grid_oracles import brute_norm_Xp
 
 SEED = 20260826
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from chaosmoments.cli import main
+from chaosmoments.harness import CSV_COLUMNS
 
 SMALL = {
     "dimensions": {"n1": 2, "n2": 2, "m": 1},
@@ -58,6 +59,20 @@ def test_report_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == direct.read_text()
 
 
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '"abc"',
+    '{"a": 1}',
+    "[{}]",
+    json.dumps([dict.fromkeys(CSV_COLUMNS, "1") | {"n1": None}]),
+], ids=["list-of-number", "string", "object", "empty-row", "null-cell"])
+def test_malformed_report_exit_code(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert main(["report", str(report)]) == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
 def test_seed_override_changes_rows(tmp_path):
     cfg = _write_config(tmp_path)
     a = tmp_path / "a.csv"
@@ -82,16 +97,6 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert main(["--config", cfg, "--out", "/nonexistent/deep/x.csv"]) == 3
     assert main(["report", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
-
-
-def test_threads_env_honored(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path)
-    monkeypatch.setenv("THREADS", "2")
-    assert main(["--config", cfg]) == 0
-    env_out = capsys.readouterr().out
-    monkeypatch.delenv("THREADS")
-    assert main(["--config", cfg, "--threads", "1"]) == 0
-    assert capsys.readouterr().out == env_out
 
 
 def test_simulate_report_identical_across_threads(tmp_path):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from chaosmoments.dual_norms import ConfigurationError
 from chaosmoments.harness import (
     CSV_COLUMNS,
+    ExperimentConfig,
     generate_ensemble,
     parse_config,
     read_rows,
@@ -53,6 +56,62 @@ def test_invalid_values_rejected():
         parse_config('{"density": 0.0}')
     with pytest.raises(ConfigurationError):
         parse_config('{"mc": {"total_samples": 100, "batches": 32}}')
+
+
+@pytest.mark.parametrize("field,value", [
+    ("ensemble", "toeplitz"),
+    ("n1", 0),
+    ("batches", 4),
+    ("family_x", "cauchy"),
+    ("q_grid", (0.5,)),
+    ("density", 0.0),
+    ("p_grid", ()),
+    ("r_grid", (float("nan"),)),
+    ("total_samples", 100),
+])
+def test_invalid_values_rejected_at_construction(field, value):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**{field: value})
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(ExperimentConfig(), **{field: value})
+
+
+def test_grids_and_density_stored_as_floats():
+    cfg = ExperimentConfig(q_grid=[1, 2], density=1)
+    assert cfg.q_grid == (1.0, 2.0) and all(type(q) is float for q in cfg.q_grid)
+    assert type(cfg.density) is float
+    assert cfg == parse_config('{"grids": {"q": [1, 2]}, "density": 1}')
+
+
+#: every field of each benchmark workload's config, as the benchmark runs it
+_WORKLOAD_DEFAULTS = {
+    "ensemble": "dense-gaussian-coefficients", "density": 0.3,
+    "n1": 4, "n2": 4, "m": 3,
+    "q_grid": (2.0,), "r_grid": (1.0, 2.0), "p_grid": (2.0, 4.0),
+    "family_x": "exp-power", "family_y": "exp-power",
+    "instances": 1, "restarts": 16, "seed": 12345,
+    "total_samples": 200_000, "batches": 32, "unit_variance": False,
+}
+_WORKLOADS = {
+    "bound-exppower": dict(
+        _WORKLOAD_DEFAULTS, n1=3, n2=3, m=2, p_grid=(2.0, 8.0), restarts=2,
+    ),
+    "simulate-exppower": dict(
+        _WORKLOAD_DEFAULTS, q_grid=(1.0, 2.0), total_samples=20_000,
+    ),
+    "verify-weibull-sparse": dict(
+        _WORKLOAD_DEFAULTS, ensemble="sparse", density=0.5, family_x="weibull",
+        family_y="weibull", restarts=1, total_samples=320_000,
+    ),
+}
+
+
+def test_benchmark_workload_configs_pinned():
+    paths = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "workloads").glob("*.json"))
+    assert {path.stem for path in paths} == set(_WORKLOADS)
+    for path in paths:
+        cfg = parse_config(path.read_text())
+        assert dataclasses.asdict(cfg) == _WORKLOADS[path.stem], path.name
 
 
 def test_ensemble_patterns():
