@@ -45,7 +45,15 @@ UPPER_GENERAL = "upper-general"
 TWO_SIDED = "two-sided"
 HILBERT = "hilbert"
 
-KINDS = (LOWER, UPPER_SUBGAUSSIAN, UPPER_GENERAL, TWO_SIDED, HILBERT)
+#: the terms of each bound kind, in summation order
+KIND_TERMS = {
+    LOWER: ("T1", "T2", "T3", "T4r", "T4c", "T5"),
+    UPPER_SUBGAUSSIAN: ("T1", "T2", "T3", "T4r", "T5"),
+    UPPER_GENERAL: ("T1", "T2", "T3", "T4r", "T4c", "T5", "T6"),
+    TWO_SIDED: ("T1", "T2", "T3", "T4r", "T5"),
+    HILBERT: ("T1", "T2", "T3", "T4r", "T5"),
+}
+KINDS = tuple(KIND_TERMS)
 
 
 @dataclass
@@ -304,38 +312,25 @@ def assemble_bound(A, kind, p, distX, distY, restarts=16, seed=0):
                 "the subgaussian bound needs a subgaussian second family (r >= 2)"
             )
 
-    diagnostics = {}
-
-    def record(name, res):
-        if isinstance(res, NormResult):
-            diagnostics[name] = {
-                "converged": res.converged,
-                "restarts_used": res.restarts_used,
-            }
-            return res.value
-        return res
-
+    solvers = {
+        "T1": lambda: term_T1_chaos_mean(A),
+        "T2": lambda: term_T2_supx(A, ballX, restarts, seed),
+        "T3": lambda: term_T3_supy(A, ballY, restarts, seed),
+        "T4r": lambda: term_T4_sup_f_column(A, ballX, "rows", restarts, seed),
+        "T4c": lambda: term_T4_sup_f_column(A, ballY, "columns", restarts, seed),
+        "T5": lambda: term_T5_sup_f_xyp(A, ballX, ballY, restarts, seed),
+        "T6": lambda: term_T6_operator(A, p, restarts, seed),
+    }
     terms = {}
-    t1 = term_T1_chaos_mean(A)
-    t2 = record("T2", term_T2_supx(A, ballX, restarts, seed))
-    t3 = record("T3", term_T3_supy(A, ballY, restarts, seed))
-    t4r = record("T4r", term_T4_sup_f_column(A, ballX, "rows", restarts, seed))
-    t5 = record("T5", term_T5_sup_f_xyp(A, ballX, ballY, restarts, seed))
-
-    if kind == LOWER:
-        t4c = record("T4c", term_T4_sup_f_column(A, ballY, "columns", restarts, seed))
-        terms = {"T1": t1, "T2": t2, "T3": t3, "T4r": t4r, "T4c": t4c, "T5": t5}
-    elif kind == UPPER_SUBGAUSSIAN:
-        terms = {"T1": gamma * t1, "T2": t2, "T3": t3, "T4r": t4r, "T5": t5}
-    elif kind == UPPER_GENERAL:
-        t4c = record("T4c", term_T4_sup_f_column(A, ballY, "columns", restarts, seed))
-        t6 = term_T6_operator(A, p, restarts, seed)
-        terms = {
-            "T1": t1, "T2": t2, "T3": t3, "T4r": t4r, "T4c": t4c,
-            "T5": t5, "T6": t6,
-        }
-    else:  # TWO_SIDED and HILBERT share the five-term shape
-        terms = {"T1": t1, "T2": t2, "T3": t3, "T4r": t4r, "T5": t5}
+    diagnostics = {}
+    for name in KIND_TERMS[kind]:
+        res = solvers[name]()
+        if isinstance(res, NormResult):
+            diagnostics[name] = {"converged": res.converged, "restarts_used": res.restarts_used}
+            res = res.value
+        terms[name] = res
+    if gamma is not None:
+        terms["T1"] = gamma * terms["T1"]
 
     total = float(sum(terms.values()))
     return BoundReport(

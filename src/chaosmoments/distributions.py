@@ -45,7 +45,6 @@ class TailDistribution:
     family: str
     r: float
     scale: float
-    normalized: bool = True
 
     # -- tail function -------------------------------------------------
 
@@ -237,8 +236,8 @@ def make_distribution(family, r=None):
     if r is None:
         raise InvalidShapeError("shape exponent r is required")
     r = float(r)
-    if r < 1.0:
-        raise InvalidShapeError(f"shape exponent r = {r} < 1 breaks tail convexity")
+    if not 1.0 <= r < math.inf:
+        raise InvalidShapeError(f"shape exponent r = {r} violates 1 <= r < inf (tail convexity)")
     if family == WEIBULL:
         return TailDistribution(WEIBULL, r, 1.0)
     if family == EXP_POWER:

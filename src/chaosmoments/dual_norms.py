@@ -19,8 +19,7 @@ array and solve every concave piece at once for the common marginal
 value: the kinks of the budget sum bracket its root, and a closed form or
 safeguarded Newton steps inside the bracket find it.
 
-``norm_Xp_dual`` keeps the Lagrangian route; it returns the support
-function of the convex hull, an upper bound that is tight for r >= 2.
+``norm_Xp_dual`` keeps the Lagrangian route, an upper bound on the norm.
 """
 
 import functools
@@ -53,12 +52,10 @@ class DualBall:
     tails: tuple
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ConfigurationError(f"moment level p = {self.p} < 1")
+        if not 1.0 <= self.p < math.inf:
+            raise ConfigurationError(f"moment level p = {self.p} violates 1 <= p < inf")
         if not self.tails:
             raise ConfigurationError("ball needs at least one coordinate")
-        if not all(t.normalized for t in self.tails):
-            raise ConfigurationError("ball tails must be normalized")
         if self.p > EXP_POWER_MAX_N and any(d.family == EXP_POWER for d, _ in self.laws):
             raise ConfigurationError(f"exp-power balls need p <= {EXP_POWER_MAX_N:g}")
 
@@ -314,8 +311,11 @@ def norm_Xp(a, ball):
 def norm_Xp_dual(a, ball):
     """Lagrangian dual value inf_{lam>0} lam p + sum conjugates.
 
-    Equals norm_Xp for r >= 2 families (convex ball); otherwise it is the
-    support function of the convex hull, an upper bound on the norm.
+    The support function of {x : sum_i conv(hat_N_i)(x_i) <= p}, conv the
+    convex envelope: equal to norm_Xp when every hat_N_i is convex
+    (N_i'(1) >= 2), else an upper bound that can exceed the support
+    function of the ball's convex hull (the 1-D Weibull r = 1 ball at
+    p = 2 is [-2, 2], yet the dual gives 2.25).
     """
     a = np.asarray(a, dtype=float).ravel()
     mags = np.abs(a)

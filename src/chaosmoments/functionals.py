@@ -1,4 +1,4 @@
-"""Coefficient tensors and the deterministic / sampled process functionals.
+"""Coefficient tensors and the deterministic process functionals.
 
 A chaos coefficient tensor has shape (n1, n2, m): the first two indices
 pair with the two independent variable families, the third lives in the
@@ -8,18 +8,16 @@ bound terms:
 * ``alpha_A``     -- Euclidean aggregate of slice contractions,
 * ``alpha_inf_A`` -- its max-coordinate companion,
 * ``phi_A``       -- the 2q-th-root fourth-moment functional,
-* ``s_A_surrogate`` -- closed-form stand-in for the expected chaos norm,
+* ``s_A_surrogate`` -- closed-form stand-in for the expected chaos norm.
 
-plus Monte Carlo expected suprema used to cross-check the comparison
-lemmas behind them.
+Nothing here samples: the Monte Carlo expected suprema that cross-check
+the comparison lemmas behind these functionals live in ``montecarlo``.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .estimates import McEstimate, batched_mean
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,8 @@ class CoefficientTensor:
             raise ValueError("all tensor dimensions must be positive")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
-        if self.q < 1.0:
-            raise ValueError(f"q = {self.q} < 1")
+        if not 1.0 <= self.q < math.inf:
+            raise ValueError(f"q = {self.q} violates 1 <= q < inf")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -135,63 +133,3 @@ def s_A_surrogate(A):
     mass = (A.entries ** 2).sum(axis=(0, 1))
     q = A.q
     return float((mass ** (q / 2.0)).sum() ** (1.0 / q))
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo expected suprema
-# ---------------------------------------------------------------------------
-
-_LAWS = ("exponential", "gaussian", "gaussian-squared-minus-one", "gaussian-product")
-
-
-def _draw_law(gen, law, size):
-    """Variance-one draws of the comparison laws (or an LCT distribution)."""
-    if isinstance(law, tuple) and law[0] == "lct":
-        return law[1].sample(gen, size[0] * size[1]).reshape(size)
-    if law == "exponential":
-        return gen.laplace(0.0, 1.0 / math.sqrt(2.0), size=size)
-    if law == "gaussian":
-        return gen.standard_normal(size)
-    if law == "gaussian-squared-minus-one":
-        g = gen.standard_normal(size)
-        eps = gen.integers(0, 2, size=size) * 2 - 1
-        return eps * (g * g - 1.0) / math.sqrt(2.0)
-    if law == "gaussian-product":
-        return gen.standard_normal(size) * gen.standard_normal(size)
-    raise ValueError(f"unknown law {law!r}; expected one of {_LAWS} or ('lct', d)")
-
-
-def mc_expected_sup(T, law, cfg):
-    """Estimate E sup_{t in T} <t, Z> for a finite set T of vectors."""
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    if T.size == 0:
-        raise ValueError("T must be nonempty")
-    n = T.shape[1]
-    if not T.any():
-        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
-
-    def batch(gen, size):
-        Z = _draw_law(gen, law, (size, n))
-        return (Z @ T.T).max(axis=1)
-
-    return batched_mean(cfg, batch)
-
-
-def mc_beta(A, x, cfg):
-    """Estimate E sup_{t in B_{q'}} |sum_ijk a_ijk g_i x_j t_k|.
-
-    The inner supremum is the ell_q norm of the contracted Gaussian
-    image, by ell_q / ell_{q'} duality.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.n2,):
-        raise ValueError(f"x must have shape ({A.n2},), got {x.shape}")
-    M = np.einsum("ijk,j->ik", A.entries, x)  # (n1, m)
-    if not M.any():
-        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
-
-    def batch(gen, size):
-        g = gen.standard_normal((size, A.n1))
-        return lq_norm(g @ M, A.q, axis=1)
-
-    return batched_mean(cfg, batch)

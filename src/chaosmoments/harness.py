@@ -21,20 +21,18 @@ from . import bounds as bd
 from . import rng as rngmod
 from .distributions import EXP_POWER, FAMILIES, GAUSSIAN, make_distribution
 from .dual_norms import ConfigurationError
-from .estimates import McConfig
 from .functionals import CoefficientTensor
-from .montecarlo import estimate_moment_decoupled
+from .montecarlo import McConfig, estimate_moment_decoupled
 
 ENSEMBLES = (
     "dense-gaussian-coefficients",
     "sparse",
     "diagonal",
     "rank1",
-    "hilbert",
 )
 
-#: the bound terms of a report row; the lower total is all of them but T6
-TERMS = ("T1", "T2", "T3", "T4r", "T4c", "T5", "T6")
+#: the bound terms of a report row: those of the general upper bound
+TERMS = bd.KIND_TERMS[bd.UPPER_GENERAL]
 
 CSV_COLUMNS = [
     "ensemble", "n1", "n2", "m", "q", "r", "p", "seed",
@@ -45,8 +43,8 @@ CSV_COLUMNS = [
 #: how ``read_rows`` converts a column; every other column is a float
 _COLUMN_TYPES = {**dict.fromkeys(("n1", "n2", "m", "seed"), int), "ensemble": str, "flags": str}
 
-#: the smallest accepted value of each integer setting
-_MINIMUM = dict(n1=1, n2=1, m=1, instances=1, restarts=1, total_samples=1, batches=8)
+#: the smallest accepted value of each integer setting; McConfig checks the mc ones
+_MINIMUM = dict(n1=1, n2=1, m=1, instances=1, restarts=1)
 
 
 @dataclass(frozen=True)
@@ -95,12 +93,9 @@ class ExperimentConfig:
         for family in (self.family_x, self.family_y):
             if family not in FAMILIES:
                 raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        if self.total_samples % self.batches != 0:
-            raise ConfigurationError("total_samples must be divisible by batches")
+        self.mc_config()  # McConfig checks the sampling settings
         if not 0 <= self.seed < 1 << 64:
             raise ConfigurationError(f"seed {self.seed} is outside [0, 2^64)")
-        if self.ensemble == "hilbert" and any(q != 2.0 for q in self.q_grid):
-            raise ConfigurationError("the hilbert ensemble requires q = 2")
 
     def mc_config(self):
         return McConfig(
@@ -244,7 +239,7 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
             )
             terms.update(upper.terms)
             upper_total = upper.total
-            lower_total = sum(upper.terms[name] for name in TERMS if name != "T6")
+            lower_total = sum(upper.terms[name] for name in bd.KIND_TERMS[bd.LOWER])
             for name, diag in upper.diagnostics.items():
                 if not diag["converged"]:
                     flags.append(f"nonconverged:{name}")

@@ -1,35 +1,79 @@
-"""Monte Carlo moment estimators for the chaos left-hand sides.
+"""Monte Carlo estimates of the chaos moments and of expected suprema.
 
-All estimators are batch-means: each batch draws from its own
-counter-based stream and the batches are reduced in ascending index
-order, so an estimate is a pure function of (inputs, master seed).
-Moments are estimated through p-th powers with a delta-method standard
-error; heavy-tailed inputs make large-p estimation unreliable, so p
-beyond ln(total_samples)/2 only flags the estimate instead of failing.
+Every estimate is a batch-means estimate from ``_batched_mean``: each
+batch draws from its own counter-based stream and the batches are reduced
+in ascending index order, so an estimate is a pure function of (inputs,
+master seed).  Moments are estimated through p-th powers with a
+delta-method standard error; heavy-tailed inputs make large-p estimation
+unreliable, so p beyond ln(total_samples)/2 only flags the estimate.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import McEstimate, batched_mean, power_mean_transform
+from . import rng as rngmod
+from .dual_norms import ConfigurationError
 from .functionals import lq_norm
 
 
-def _reliability_warning(p, cfg):
-    guidance = math.log(cfg.total_samples) / 2.0
-    if p > guidance:
-        return (
-            f"p = {p} exceeds the heavy-tail guidance ln(N)/2 = {guidance:.2f}; "
-            "treat the estimate as indicative"
-        )
-    return None
+@dataclass(frozen=True)
+class McConfig:
+    total_samples: int = 200_000
+    batches: int = 32
+    master_seed: int = 0
+    unit_variance: bool = False
+
+    def __post_init__(self):
+        if self.batches < 8:
+            raise ConfigurationError("batches must be >= 8 for stable batch-means stderr")
+        if self.total_samples < self.batches or self.total_samples % self.batches != 0:
+            raise ConfigurationError("total_samples must be a positive multiple of batches")
+
+    @property
+    def batch_size(self):
+        return self.total_samples // self.batches
 
 
-def _with_warning(est, warning):
-    if warning is None:
-        return est
-    return McEstimate(est.value, est.stderr, est.samples, est.seed, warning)
+@dataclass(frozen=True)
+class McEstimate:
+    value: float
+    stderr: float
+    samples: int
+    seed: int
+    warning: str | None = None
+
+
+def _batched_mean(cfg, batch_fn, p=None):
+    """Batch-means estimate of E f, or of (E f)^(1/p) when ``p`` is given.
+
+    ``batch_fn(generator, size)`` returns the per-sample values of one
+    batch; ``None`` stands for an all-zero input, whose estimate is 0.
+    With ``p`` the values are p-th powers: the mean is mapped to its p-th
+    root, the stderr follows by the delta method, and p past the
+    heavy-tail guidance ln(N)/2 sets the warning.
+    """
+    if p is not None and p < 1.0:
+        raise ValueError("p must be >= 1")
+    if batch_fn is None:
+        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
+    means = np.empty(cfg.batches)
+    for b in range(cfg.batches):
+        gen = rngmod.stream(cfg.master_seed, rngmod.MC_STREAM + b)
+        means[b] = np.asarray(batch_fn(gen, cfg.batch_size), dtype=float).mean()
+    m = float(means.mean())
+    se = float(means.std(ddof=1) / math.sqrt(cfg.batches))
+    warning = None
+    if p is not None:
+        m, se = (m ** (1.0 / p), se * m ** (1.0 / p - 1.0) / p) if m > 0.0 else (0.0, 0.0)
+        guidance = math.log(cfg.total_samples) / 2.0
+        if p > guidance:
+            warning = (
+                f"p = {p} exceeds the heavy-tail guidance ln(N)/2 = {guidance:.2f}; "
+                "treat the estimate as indicative"
+            )
+    return McEstimate(m, se, cfg.total_samples, cfg.master_seed, warning)
 
 
 def _variance_scale(dist, unit_variance):
@@ -48,12 +92,8 @@ def _bilinear(X, A_unfolded, Y):
 
 def estimate_moment_decoupled(A, distX, distY, p, cfg):
     """(E |sum_ij a_ij X_i Y_j|_q^p)^(1/p) for independent families."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
     sx = _variance_scale(distX, cfg.unit_variance)
     sy = _variance_scale(distY, cfg.unit_variance)
-    if not A.entries.any():
-        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
     A_unfolded = A.entries.reshape(A.n1, -1)
 
     def batch(gen, size):
@@ -61,11 +101,10 @@ def estimate_moment_decoupled(A, distX, distY, p, cfg):
         Y = distY.sample(gen, size * A.n2).reshape(size, A.n2) / sy
         return lq_norm(_bilinear(X, A_unfolded, Y), A.q, axis=1) ** p
 
-    est = batched_mean(cfg, batch, power_mean_transform(p))
-    return _with_warning(est, _reliability_warning(p, cfg))
+    return _batched_mean(cfg, batch if A.entries.any() else None, p)
 
 
-def estimate_moment_undecoupled(A2, distX, p, cfg, q=2.0):
+def estimate_moment_undecoupled(A2, distX, p, cfg):
     """Same estimator with one variable family on both indices.
 
     Requires a symmetric, zero-diagonal coefficient matrix (the shape the
@@ -78,19 +117,14 @@ def estimate_moment_undecoupled(A2, distX, p, cfg, q=2.0):
         raise ValueError("A2 must be symmetric")
     if np.abs(np.diag(A2)).max(initial=0.0) > 1e-12:
         raise ValueError("A2 must have a zero diagonal")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
     s = _variance_scale(distX, cfg.unit_variance)
     n = A2.shape[0]
-    if not A2.any():
-        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
 
     def batch(gen, size):
         X = distX.sample(gen, size * n).reshape(size, n) / s
         return np.abs(((X @ A2) * X).sum(axis=1)) ** p
 
-    est = batched_mean(cfg, batch, power_mean_transform(p))
-    return _with_warning(est, _reliability_warning(p, cfg))
+    return _batched_mean(cfg, batch if A2.any() else None, p)
 
 
 def estimate_E_norm_fixed_x(A, x, distY, cfg):
@@ -100,28 +134,77 @@ def estimate_E_norm_fixed_x(A, x, distY, cfg):
         raise ValueError(f"x must have shape ({A.n1},), got {x.shape}")
     s = _variance_scale(distY, cfg.unit_variance)
     B = np.einsum("ijk,i->jk", A.entries, x)  # (n2, m)
-    if not B.any():
-        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
 
     def batch(gen, size):
         Y = distY.sample(gen, size * A.n2).reshape(size, A.n2) / s
         return lq_norm(Y @ B, A.q, axis=1)
 
-    return batched_mean(cfg, batch)
+    return _batched_mean(cfg, batch if B.any() else None)
 
 
 def gk_moment(a, dist, p, cfg):
     """(E |sum_i a_i X_i|^p)^(1/p) for a linear form."""
     a = np.asarray(a, dtype=float).ravel()
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
     s = _variance_scale(dist, cfg.unit_variance)
-    if not a.any():
-        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
 
     def batch(gen, size):
         X = dist.sample(gen, size * a.size).reshape(size, a.size) / s
         return np.abs(X @ a) ** p
 
-    est = batched_mean(cfg, batch, power_mean_transform(p))
-    return _with_warning(est, _reliability_warning(p, cfg))
+    return _batched_mean(cfg, batch if a.any() else None, p)
+
+
+# ---------------------------------------------------------------------------
+# Expected suprema of the comparison processes (no p-th powers)
+# ---------------------------------------------------------------------------
+
+_LAWS = ("exponential", "gaussian", "gaussian-squared-minus-one", "gaussian-product")
+
+
+def _draw_law(gen, law, size):
+    """Variance-one draws of the comparison laws (or an LCT distribution)."""
+    if isinstance(law, tuple) and law[0] == "lct":
+        return law[1].sample(gen, size[0] * size[1]).reshape(size)
+    if law == "exponential":
+        return gen.laplace(0.0, 1.0 / math.sqrt(2.0), size=size)
+    if law == "gaussian":
+        return gen.standard_normal(size)
+    if law == "gaussian-squared-minus-one":
+        g = gen.standard_normal(size)
+        eps = gen.integers(0, 2, size=size) * 2 - 1
+        return eps * (g * g - 1.0) / math.sqrt(2.0)
+    if law == "gaussian-product":
+        return gen.standard_normal(size) * gen.standard_normal(size)
+    raise ValueError(f"unknown law {law!r}; expected one of {_LAWS} or ('lct', d)")
+
+
+def mc_expected_sup(T, law, cfg):
+    """Estimate E sup_{t in T} <t, Z> for a finite set T of vectors."""
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    if T.size == 0:
+        raise ValueError("T must be nonempty")
+    n = T.shape[1]
+
+    def batch(gen, size):
+        Z = _draw_law(gen, law, (size, n))
+        return (Z @ T.T).max(axis=1)
+
+    return _batched_mean(cfg, batch if T.any() else None)
+
+
+def mc_beta(A, x, cfg):
+    """Estimate E sup_{t in B_{q'}} |sum_ijk a_ijk g_i x_j t_k|.
+
+    The inner supremum is the ell_q norm of the contracted Gaussian
+    image, by ell_q / ell_{q'} duality.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (A.n2,):
+        raise ValueError(f"x must have shape ({A.n2},), got {x.shape}")
+    M = np.einsum("ijk,j->ik", A.entries, x)  # (n1, m)
+
+    def batch(gen, size):
+        g = gen.standard_normal((size, A.n1))
+        return lq_norm(g @ M, A.q, axis=1)
+
+    return _batched_mean(cfg, batch if M.any() else None)

@@ -22,17 +22,14 @@ from chaosmoments.bounds import (
 )
 from chaosmoments.distributions import EXP_POWER, WEIBULL, make_distribution
 from chaosmoments.dual_norms import ball, norm_Xp
-from chaosmoments.estimates import McConfig
-from chaosmoments.functionals import (
-    CoefficientTensor,
-    mc_expected_sup,
-    s_A_surrogate,
-)
+from chaosmoments.functionals import CoefficientTensor, s_A_surrogate
 from chaosmoments.harness import parse_config, render_report, run_experiment
 from chaosmoments.montecarlo import (
+    McConfig,
     estimate_moment_decoupled,
     estimate_moment_undecoupled,
     gk_moment,
+    mc_expected_sup,
 )
 from chaosmoments.rng import stream
 from grid_oracles import brute_norm_Xp

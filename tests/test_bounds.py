@@ -5,6 +5,7 @@ import pytest
 
 from chaosmoments.bounds import (
     HILBERT,
+    KIND_TERMS,
     KINDS,
     LOWER,
     TWO_SIDED,
@@ -88,6 +89,13 @@ def test_unknown_kind_rejected():
     with pytest.raises(ConfigurationError):
         assemble_bound(SCALAR, "sharpest", 2.0, W1, W1)
     assert len(KINDS) == 5
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_terms_follow_the_kind_table(kind):
+    rep = assemble_bound(SCALAR, kind, 2.0, G, G, restarts=2)
+    assert tuple(rep.terms) == KIND_TERMS[kind]
+    assert rep.total == sum(rep.terms[name] for name in KIND_TERMS[kind])
 
 
 def test_terms_permutation_invariant():

@@ -142,10 +142,8 @@ def test_largest_seed_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_hilbert_requires_q_two(tmp_path, capsys):
-    doc = dict(SMALL, ensemble="hilbert", grids={"q": [1], "r": [1], "p": [2]})
+def test_hilbert_is_an_unknown_ensemble(tmp_path, capsys):
+    # it was dense coefficients under another label; the Hilbert bound kind stays
+    doc = dict(SMALL, ensemble="hilbert")
     assert main(["--config", _write_config(tmp_path, doc), "bound"]) == 2
-    assert "requires q = 2" in capsys.readouterr().err
-    doc["grids"]["q"] = [2]
-    assert main(["--config", _write_config(tmp_path, doc), "bound"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("hilbert,2,2,1,2,")
+    assert "unknown ensemble 'hilbert'" in capsys.readouterr().err

@@ -127,7 +127,7 @@ def test_exp_power_r1_equals_weibull_r1():
     np.testing.assert_allclose(e.survival(t), w.survival(t), rtol=1e-9)
 
 
-@pytest.mark.parametrize("r", [0.0, 0.5, 0.999, -1.0])
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.999, -1.0, math.nan, math.inf])
 def test_invalid_shape_rejected(r):
     with pytest.raises(InvalidShapeError):
         make_distribution(WEIBULL, r)

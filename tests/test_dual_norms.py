@@ -160,6 +160,14 @@ def test_duality_gap_convex_case(dist):
         assert dual - primal <= 1e-7 * max(1.0, primal)
 
 
+def test_dual_is_support_of_convexified_budget():
+    # hat_N of W1 has convex envelope t^2 up to 1/2 and |t| - 1/4 beyond, so
+    # the dual's set at p = 2 is [-2.25, 2.25]; the ball itself is [-2, 2]
+    b = ball(W1, 2.0, 1)
+    assert norm_Xp(np.ones(1), b).value == pytest.approx(2.0, rel=1e-12)
+    assert float(norm_Xp_dual(np.ones(1), b)) == pytest.approx(2.25, rel=1e-9)
+
+
 def test_dual_upper_bounds_nonconvex_case():
     b = ball(W1, 2.0, 2)
     a = np.array([1.0, 1.0])
@@ -320,8 +328,9 @@ def test_zero_vector_norm_zero():
 
 
 def test_invalid_ball_rejected():
-    with pytest.raises(ConfigurationError):
-        ball(W2, 0.5, 2)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            ball(W2, p, 2)
     with pytest.raises(ConfigurationError):
         DualBall(2.0, ())
 

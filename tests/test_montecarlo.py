@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from chaosmoments.distributions import GAUSSIAN, WEIBULL, make_distribution
-from chaosmoments.estimates import McConfig, batched_mean, power_mean_transform
+from chaosmoments.dual_norms import ConfigurationError
 from chaosmoments.functionals import CoefficientTensor
 from chaosmoments.montecarlo import (
+    McConfig,
+    McEstimate,
+    _batched_mean,
     _bilinear,
     estimate_E_norm_fixed_x,
     estimate_moment_decoupled,
@@ -21,25 +24,34 @@ CFG = McConfig(total_samples=200_000, batches=32, master_seed=3, unit_variance=T
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         McConfig(total_samples=100, batches=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         McConfig(total_samples=100, batches=32)  # not divisible
+    with pytest.raises(ConfigurationError):
+        McConfig(total_samples=0, batches=8)  # empty batches
     assert McConfig(total_samples=320, batches=32).batch_size == 10
 
 
-def test_power_mean_transform():
-    value, se = power_mean_transform(2.0)(4.0, 0.4)
-    assert value == 2.0
-    assert se == pytest.approx(0.4 * 0.5 / 2.0)
-    assert power_mean_transform(3.0)(0.0, 1.0) == (0.0, 0.0)
+def test_batched_mean_power_root():
+    cfg = McConfig(total_samples=8_000, batches=8, master_seed=9)
+    fn = lambda gen, size: gen.standard_normal(size) ** 2
+    mean = _batched_mean(cfg, fn)
+    root = _batched_mean(cfg, fn, p=2.0)
+    assert root.value == mean.value ** 0.5
+    assert root.stderr == pytest.approx(mean.stderr * mean.value ** -0.5 / 2.0, rel=1e-15)
+    assert root.warning is None and mean.warning is None
+    zero = _batched_mean(cfg, lambda gen, size: np.zeros(size), p=3.0)
+    assert (zero.value, zero.stderr) == (0.0, 0.0)
+    assert _batched_mean(cfg, fn, p=5.0).warning is not None  # ln(8000)/2 ~ 4.5
+    assert _batched_mean(cfg, None, p=5.0) == McEstimate(0.0, 0.0, 8_000, 9)  # all-zero input
 
 
 def test_batched_mean_deterministic():
     cfg = McConfig(total_samples=8_000, batches=8, master_seed=9)
     fn = lambda gen, size: gen.standard_normal(size) ** 2
-    a = batched_mean(cfg, fn)
-    b = batched_mean(cfg, fn)
+    a = _batched_mean(cfg, fn)
+    b = _batched_mean(cfg, fn)
     assert a.value == b.value and a.stderr == b.stderr
     assert a.value == pytest.approx(1.0, abs=5.0 * a.stderr + 1e-2)
 
@@ -125,6 +137,8 @@ def test_p_below_one_rejected():
         estimate_moment_decoupled(A, G, G, 0.5, CFG)
     with pytest.raises(ValueError):
         gk_moment(np.ones(1), G, 0.5, CFG)
+    with pytest.raises(ValueError):  # checked before the zero short-circuit
+        gk_moment(np.zeros(1), G, 0.5, CFG)
 
 
 def test_moment_ratio_hypercontractive():

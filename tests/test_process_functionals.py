@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from chaosmoments.distributions import WEIBULL, make_distribution
-from chaosmoments.estimates import McConfig
 from chaosmoments.functionals import (
     CoefficientTensor,
     alpha_A,
     alpha_inf_A,
     lq_align,
     lq_norm,
-    mc_beta,
-    mc_expected_sup,
     phi_A,
     s_A_surrogate,
 )
+from chaosmoments.montecarlo import McConfig, mc_beta, mc_expected_sup
 from chaosmoments.rng import stream
 
 CFG = McConfig(total_samples=100_000, batches=20, master_seed=5)
@@ -30,8 +28,9 @@ def test_tensor_validation():
         CoefficientTensor(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         CoefficientTensor(np.full((1, 1, 1), np.nan))
-    with pytest.raises(ValueError):
-        CoefficientTensor(np.ones((1, 1, 1)), q=0.5)
+    for q in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CoefficientTensor(np.ones((1, 1, 1)), q=q)
 
 
 def test_transpose_swaps_chaos_indices():
