@@ -326,7 +326,7 @@ def assemble_bound(A, kind, p, distX, distY, restarts=16, seed=0):
     for name in KIND_TERMS[kind]:
         res = solvers[name]()
         if isinstance(res, NormResult):
-            diagnostics[name] = {"converged": res.converged, "restarts_used": res.restarts_used}
+            diagnostics[name] = {k: getattr(res, k) for k in ("converged", "restarts_used", "winner")}
             res = res.value
         terms[name] = res
     if gamma is not None:

@@ -101,8 +101,7 @@ def _run_gk(args):
         family = cfg.family_x
         dist = make_distribution(family, 2.0 if family == GAUSSIAN else r)
         coeffs = np.ones(cfg.n1) / math.sqrt(cfg.n1)
-        for p in cfg.p_grid:
-            est = gk_moment(coeffs, dist, p, mc)
+        for p, est in zip(cfg.p_grid, gk_moment(coeffs, dist, cfg.p_grid, mc)):
             flagged = flagged or est.warning is not None
             records.append({
                 "family": family, "r": r, "p": p, "n": cfg.n1,

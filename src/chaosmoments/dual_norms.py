@@ -107,6 +107,7 @@ class NormResult:
     maximizer: np.ndarray
     converged: bool = True
     restarts_used: int = 0
+    winner: int | None = None  # index of the start ``_best_start`` kept
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +419,15 @@ def _ascend(state, step, tol=_ALT_TOL):
 def _best_start(starts, climb):
     """Best (value, point, converged) that ``climb`` reaches from a start.
 
-    A tie keeps the earlier start.  The value is attained by a feasible
-    point, so it is a certified lower bound of the supremum.
+    A tie keeps the earlier start, whose index is ``winner``.  The value is
+    attained by a feasible point, so it is a certified lower bound of the
+    supremum.
     """
     best = NormResult(-math.inf, None, False)
-    for start in starts:
+    for index, start in enumerate(starts):
         value, point, converged = climb(start)
         if value > best.value:
-            best = NormResult(value, point, converged)
+            best = NormResult(value, point, converged, winner=index)
     best.restarts_used = len(starts)
     return best
 

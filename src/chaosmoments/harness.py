@@ -5,7 +5,8 @@ is built: by ``parse_config`` from a JSON document (type-checked against the
 one ``_SCHEMA`` table first), in Python, or with ``dataclasses.replace``.
 Every run is a pure function of the config, master seed included, and rows
 are emitted in deterministic grid order so re-runs produce byte-identical
-reports.  ``CSV_COLUMNS`` names the report columns once, for both formats.
+reports.  One Monte Carlo call per (r, instance) serves every (q, p).
+``CSV_COLUMNS`` names the report columns once, for both formats.
 """
 
 import csv
@@ -93,9 +94,7 @@ class ExperimentConfig:
         for family in (self.family_x, self.family_y):
             if family not in FAMILIES:
                 raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        self.mc_config()  # McConfig checks the sampling settings
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigurationError(f"seed {self.seed} is outside [0, 2^64)")
+        self.mc_config()  # McConfig checks the sampling settings and the seed
 
     def mc_config(self):
         return McConfig(
@@ -189,11 +188,10 @@ def parse_config(text):
     return ExperimentConfig(**fields)
 
 
-def generate_ensemble(cfg, index, q=None):
-    """Deterministic coefficient tensor for (master seed, instance index)."""
+def generate_ensemble(cfg, index):
+    """Deterministic coefficient tensor for (master seed, instance index), at the first q."""
     if index < 0:
         raise ValueError("index must be >= 0")
-    q = cfg.q_grid[0] if q is None else q
     gen = rngmod.stream(cfg.seed, rngmod.ENSEMBLE_STREAM + index)
     shape = (cfg.n1, cfg.n2, cfg.m)
     entries = gen.standard_normal(shape)
@@ -215,26 +213,31 @@ def generate_ensemble(cfg, index, q=None):
         v /= np.linalg.norm(v)
         w /= np.linalg.norm(w)
         entries = np.einsum("i,j,k->ijk", u, v, w)
-    return CoefficientTensor(entries, q=q)
+    return CoefficientTensor(entries, q=cfg.q_grid[0])
 
 
 #: solver and sampler failures that flag a row; anything else is a bug and raises
 _ROW_FAILURES = (ConfigurationError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
-    flags = []
-    A = generate_ensemble(cfg, index, q=q)
-    distX = make_distribution(cfg.family_x, r if cfg.family_x != GAUSSIAN else 2.0)
-    distY = make_distribution(cfg.family_y, r if cfg.family_y != GAUSSIAN else 2.0)
+def _simulate(A, dists, levels, cfg):
+    """One shared estimate per (q, p) level, or the group's ``mc-error:`` flag."""
+    try:
+        return dict(zip(levels, estimate_moment_decoupled(A, *dists, levels, cfg.mc_config())))
+    except _ROW_FAILURES as exc:
+        return dict.fromkeys(levels, f"mc-error:{type(exc).__name__}")
 
+
+def _run_point(cfg, A, r, p, dists, mc, deterministic=True):
+    """One report row; ``mc`` is its estimate or ``mc-error:`` flag, None without sampling."""
+    flags = []
     terms = {name: math.nan for name in TERMS}
     lower_total = math.nan
     upper_total = math.nan
     if deterministic:
         try:
             upper = bd.assemble_bound(
-                A, bd.UPPER_GENERAL, p, distX, distY,
+                A, bd.UPPER_GENERAL, p, *dists,
                 restarts=cfg.restarts, seed=cfg.seed,
             )
             terms.update(upper.terms)
@@ -248,14 +251,12 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
 
     mc_lhs = math.nan
     mc_stderr = math.nan
-    if simulate:
-        try:
-            est = estimate_moment_decoupled(A, distX, distY, p, cfg.mc_config())
-            mc_lhs, mc_stderr = est.value, est.stderr
-            if est.warning:
-                flags.append("mc-unreliable")
-        except _ROW_FAILURES as exc:
-            flags.append(f"mc-error:{type(exc).__name__}")
+    if isinstance(mc, str):
+        flags.append(mc)
+    elif mc is not None:
+        mc_lhs, mc_stderr = mc.value, mc.stderr
+        if mc.warning:
+            flags.append("mc-unreliable")
 
     if mc_lhs and mc_lhs > 0.0 and math.isfinite(mc_lhs):
         ratio_lower = lower_total / mc_lhs if math.isfinite(lower_total) else math.nan
@@ -263,13 +264,13 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
     else:
         ratio_lower = math.nan
         ratio_upper = math.nan
-        if simulate:
+        if mc is not None:
             flags.append("degenerate-mc")
 
     return ComparisonRow(
         ensemble=cfg.ensemble,
         n1=cfg.n1, n2=cfg.n2, m=cfg.m,
-        q=q, r=r, p=p, seed=cfg.seed,
+        q=A.q, r=r, p=p, seed=cfg.seed,
         mc_lhs=mc_lhs, mc_stderr=mc_stderr,
         terms=terms,
         lower_total=lower_total, upper_total=upper_total,
@@ -281,12 +282,20 @@ def _run_point(cfg, q, r, p, index, deterministic=True, simulate=True):
 def run_experiment(cfg, threads=1, deterministic=True, simulate=True):
     """All grid points in deterministic order; flagged rows do not abort.
 
-    ``threads`` is accepted for compatibility and has no effect: the points
-    are computed one after another (the solvers hold the GIL, so a thread
-    pool only added contention).
+    Tensors and distributions are built once, and one Monte Carlo draw per
+    (r, instance) serves every (q, p).  ``threads`` is accepted for
+    compatibility and has no effect: the points are computed one after
+    another (the solvers hold the GIL, so a thread pool only added contention).
     """
+    tensors = [generate_ensemble(cfg, index) for index in range(cfg.instances)]
+    dists = {r: tuple(make_distribution(f, 2.0 if f == GAUSSIAN else r)
+                      for f in (cfg.family_x, cfg.family_y)) for r in cfg.r_grid}
+    levels = [(q, p) for q in cfg.q_grid for p in cfg.p_grid]
+    mc = {(r, index): _simulate(A, dists[r], levels, cfg) if simulate else dict.fromkeys(levels)
+          for r in cfg.r_grid for index, A in enumerate(tensors)}
     return [
-        _run_point(cfg, q, r, p, index, deterministic, simulate)
+        _run_point(cfg, CoefficientTensor(tensors[index].entries, q), r, p, dists[r],
+                   mc[r, index][q, p], deterministic)
         for q in cfg.q_grid
         for r in cfg.r_grid
         for p in cfg.p_grid

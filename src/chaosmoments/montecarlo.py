@@ -6,10 +6,13 @@ in ascending index order, so an estimate is a pure function of (inputs,
 master seed).  Moments are estimated through p-th powers with a
 delta-method standard error; heavy-tailed inputs make large-p estimation
 unreliable, so p beyond ln(total_samples)/2 only flags the estimate.
+Levels (q, p) can share one call: each batch is drawn once and reduced to
+one value column per level, each mean formed as a one-level call forms it.
 """
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +33,10 @@ class McConfig:
             raise ConfigurationError("batches must be >= 8 for stable batch-means stderr")
         if self.total_samples < self.batches or self.total_samples % self.batches != 0:
             raise ConfigurationError("total_samples must be a positive multiple of batches")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, Integral):
+            raise ConfigurationError(f"seed must be an integer, got {self.master_seed!r}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigurationError(f"seed {self.master_seed} is outside [0, 2^64)")
 
     @property
     def batch_size(self):
@@ -52,28 +59,36 @@ def _batched_mean(cfg, batch_fn, p=None):
     batch; ``None`` stands for an all-zero input, whose estimate is 0.
     With ``p`` the values are p-th powers: the mean is mapped to its p-th
     root, the stderr follows by the delta method, and p past the
-    heavy-tail guidance ln(N)/2 sets the warning.
+    heavy-tail guidance ln(N)/2 sets the warning.  With a list ``p``, one
+    level (power or None) per value column, ``batch_fn`` returns one array
+    per level and one estimate per level comes back.
     """
-    if p is not None and p < 1.0:
+    if not isinstance(p, list):  # one level: the one-column case
+        return _batched_mean(cfg, batch_fn and (lambda gen, size: [batch_fn(gen, size)]), [p])[0]
+    if any(pk is not None and pk < 1.0 for pk in p):
         raise ValueError("p must be >= 1")
     if batch_fn is None:
-        return McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed)
-    means = np.empty(cfg.batches)
+        return [McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed) for _ in p]
+    means = np.empty((len(p), cfg.batches))
     for b in range(cfg.batches):
         gen = rngmod.stream(cfg.master_seed, rngmod.MC_STREAM + b)
-        means[b] = np.asarray(batch_fn(gen, cfg.batch_size), dtype=float).mean()
-    m = float(means.mean())
-    se = float(means.std(ddof=1) / math.sqrt(cfg.batches))
-    warning = None
-    if p is not None:
-        m, se = (m ** (1.0 / p), se * m ** (1.0 / p - 1.0) / p) if m > 0.0 else (0.0, 0.0)
-        guidance = math.log(cfg.total_samples) / 2.0
-        if p > guidance:
-            warning = (
-                f"p = {p} exceeds the heavy-tail guidance ln(N)/2 = {guidance:.2f}; "
-                "treat the estimate as indicative"
-            )
-    return McEstimate(m, se, cfg.total_samples, cfg.master_seed, warning)
+        for k, values in enumerate(batch_fn(gen, cfg.batch_size)):
+            means[k, b] = np.asarray(values, dtype=float).mean()
+    guidance = math.log(cfg.total_samples) / 2.0
+    estimates = []
+    for pk, level_means in zip(p, means):
+        m = float(level_means.mean())
+        se = float(level_means.std(ddof=1) / math.sqrt(cfg.batches))
+        warning = None
+        if pk is not None:
+            m, se = (m ** (1.0 / pk), se * m ** (1.0 / pk - 1.0) / pk) if m > 0.0 else (0.0, 0.0)
+            if pk > guidance:
+                warning = (
+                    f"p = {pk} exceeds the heavy-tail guidance ln(N)/2 = {guidance:.2f}; "
+                    "treat the estimate as indicative"
+                )
+        estimates.append(McEstimate(m, se, cfg.total_samples, cfg.master_seed, warning))
+    return estimates
 
 
 def _variance_scale(dist, unit_variance):
@@ -91,17 +106,28 @@ def _bilinear(X, A_unfolded, Y):
 
 
 def estimate_moment_decoupled(A, distX, distY, p, cfg):
-    """(E |sum_ij a_ij X_i Y_j|_q^p)^(1/p) for independent families."""
+    """(E |sum_ij a_ij X_i Y_j|_q^p)^(1/p) for independent families.
+
+    A sequence of (q, p) levels in place of ``p`` (each q replacing ``A.q``)
+    shares every batch's draws and contraction, one estimate per level.
+    """
+    levels = [(A.q, p)] if np.isscalar(p) else list(p)
+    if not all(1.0 <= q < math.inf for q, _ in levels):
+        raise ValueError("every level needs 1 <= q < inf")
     sx = _variance_scale(distX, cfg.unit_variance)
     sy = _variance_scale(distY, cfg.unit_variance)
     A_unfolded = A.entries.reshape(A.n1, -1)
+    distinct_q = dict.fromkeys(q for q, _ in levels)
 
     def batch(gen, size):
         X = distX.sample(gen, size * A.n1).reshape(size, A.n1) / sx
         Y = distY.sample(gen, size * A.n2).reshape(size, A.n2) / sy
-        return lq_norm(_bilinear(X, A_unfolded, Y), A.q, axis=1) ** p
+        S = _bilinear(X, A_unfolded, Y)
+        norms = {q: lq_norm(S, q, axis=1) for q in distinct_q}
+        return [norms[q] ** pk for q, pk in levels]
 
-    return _batched_mean(cfg, batch if A.entries.any() else None, p)
+    est = _batched_mean(cfg, batch if A.entries.any() else None, [pk for _, pk in levels])
+    return est[0] if np.isscalar(p) else est
 
 
 def estimate_moment_undecoupled(A2, distX, p, cfg):
@@ -143,15 +169,18 @@ def estimate_E_norm_fixed_x(A, x, distY, cfg):
 
 
 def gk_moment(a, dist, p, cfg):
-    """(E |sum_i a_i X_i|^p)^(1/p) for a linear form."""
+    """(E |sum_i a_i X_i|^p)^(1/p) for a linear form; a sequence of p shares its draws."""
     a = np.asarray(a, dtype=float).ravel()
     s = _variance_scale(dist, cfg.unit_variance)
+    powers = [p] if np.isscalar(p) else list(p)
 
     def batch(gen, size):
         X = dist.sample(gen, size * a.size).reshape(size, a.size) / s
-        return np.abs(X @ a) ** p
+        form = np.abs(X @ a)
+        return [form ** pk for pk in powers]
 
-    return _batched_mean(cfg, batch if a.any() else None, p)
+    est = _batched_mean(cfg, batch if a.any() else None, powers)
+    return est[0] if np.isscalar(p) else est
 
 
 # ---------------------------------------------------------------------------

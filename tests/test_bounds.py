@@ -154,6 +154,14 @@ def test_diagnostics_report_convergence():
         assert rep.diagnostics[name]["converged"]
 
 
+def test_diagnostics_name_the_winning_start():
+    A = CoefficientTensor(PINNED_TENSOR, q=2.0)
+    rep = assemble_bound(A, UPPER_GENERAL, 3.0, W2, W2, restarts=3, seed=7)
+    assert rep.diagnostics["T2"]["winner"] == term_T2_supx(A, ball(W2, 3.0, A.n1), 3, 7).winner
+    for diag in rep.diagnostics.values():
+        assert 0 <= diag["winner"] < diag["restarts_used"]
+
+
 PINNED_TENSOR = np.array([
     [[0.8, -1.3], [0.2, 0.5], [-0.7, 1.1]],
     [[-0.4, 0.9], [1.6, -0.3], [0.1, -0.6]],

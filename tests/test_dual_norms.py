@@ -355,3 +355,9 @@ def test_best_start_keeps_the_earlier_start_on_a_tie():
     res = _best_start(starts, lambda s: (s[0], s[1], s[1] != "b"))
     assert (res.value, res.maximizer, res.converged) == (3.0, "b", False)
     assert res.restarts_used == 4
+
+
+def test_best_start_records_the_winning_start():
+    climb = lambda s: (s, s, True)
+    assert _best_start([1.0, 0.5, 4.0, 2.0], climb).winner == 2
+    assert _best_start([1.0, 3.0, 3.0, 2.0], climb).winner == 1  # a tie keeps the earlier start

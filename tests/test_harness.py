@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chaosmoments import harness
+from chaosmoments.distributions import TailDistribution
 from chaosmoments.dual_norms import ConfigurationError
 from chaosmoments.harness import (
     CSV_COLUMNS,
@@ -232,3 +235,53 @@ def test_exp_power_row_past_the_table_is_flagged():
     (row,) = run_experiment(cfg, simulate=False)
     assert row.flags == "term-error:ConfigurationError"
     assert all(math.isnan(v) for v in row.terms.values())
+
+
+#: 2 q x 2 r x 2 p, two instances: 16 rows, four (r, instance) groups
+GRID = json.dumps({
+    "dimensions": {"n1": 3, "n2": 2, "m": 2},
+    "grids": {"q": [1, 2], "r": [1, 2], "p": [2, 7]},
+    "mc": {"total_samples": 4000, "batches": 8},
+    "instances": 2,
+    "restarts": 2,
+    "seed": 21,
+})
+
+
+def test_simulate_report_pinned():
+    # the digest of this report before the (r, instance) draws were shared
+    text = render_report(run_experiment(parse_config(GRID), deterministic=False), "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1f39d8d4b14e59fffe8d236088790b36f30ef8268467edfe79b06ee25d93658f"
+    )
+
+
+def test_one_draw_per_r_and_instance(monkeypatch):
+    cfg = parse_config(GRID)
+    calls = []
+    sample = TailDistribution.sample
+    monkeypatch.setattr(TailDistribution, "sample", lambda d, *a: calls.append(1) or sample(d, *a))
+    rows = run_experiment(cfg, deterministic=False)
+    assert len(rows) == 16
+    # X and Y, once per batch, for each of the 2 r x 2 instances
+    assert len(calls) == 2 * cfg.batches * (2 * 2)
+    calls.clear()
+    run_experiment(dataclasses.replace(cfg, p_grid=(2.0,)), simulate=False)
+    assert calls == []  # the bound alone samples nothing
+
+
+def test_shared_mc_failure_flags_its_group(monkeypatch):
+    cfg = parse_config(GRID)
+    estimate = harness.estimate_moment_decoupled
+
+    def fail_at_r2(A, distX, distY, levels, mc):
+        if distX.r == 2.0:
+            raise np.linalg.LinAlgError("singular")
+        return estimate(A, distX, distY, levels, mc)
+
+    monkeypatch.setattr(harness, "estimate_moment_decoupled", fail_at_r2)
+    rows = run_experiment(cfg, deterministic=False)
+    for row in rows:
+        failed = "mc-error:LinAlgError" in row.flags.split(";")
+        assert failed == (row.r == 2.0)
+        assert math.isnan(row.mc_lhs) == failed

@@ -164,3 +164,59 @@ def test_bilinear_matches_three_operand_einsum(size, shape, density):
     got = _bilinear(X, A.reshape(n1, -1), Y)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+_LEVEL_CFG = McConfig(total_samples=4000, batches=8, master_seed=5)
+_LEVELS = [(q, p) for q in (1.0, 1.5, 2.0, 3.0) for p in (1.0, 2.0, 4.0, 7.0)]
+
+
+@pytest.mark.parametrize("unit_variance", [False, True])
+@pytest.mark.parametrize("zero", [False, True])
+def test_level_list_equals_per_level_calls(unit_variance, zero):
+    cfg = McConfig(total_samples=4000, batches=8, master_seed=5, unit_variance=unit_variance)
+    entries = np.zeros((3, 2, 2)) if zero else np.random.default_rng(4).standard_normal((3, 2, 2))
+    dX, dY = make_distribution(WEIBULL, 1.5), G
+    shared = estimate_moment_decoupled(CoefficientTensor(entries), dX, dY, _LEVELS, cfg)
+    alone = [
+        estimate_moment_decoupled(CoefficientTensor(entries, q), dX, dY, p, cfg)
+        for q, p in _LEVELS
+    ]
+    assert shared == alone  # bit for bit, warnings included
+    # p = 7 passes ln(4000)/2 ~ 4.1 and warns unless the tensor is zero
+    assert [e.warning is not None for e in shared] == [p == 7.0 and not zero for _, p in _LEVELS]
+
+
+def test_level_list_needs_valid_q():
+    A = CoefficientTensor(np.ones((1, 1, 1)))
+    for q in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            estimate_moment_decoupled(A, G, G, [(2.0, 2.0), (q, 2.0)], _LEVEL_CFG)
+    with pytest.raises(ValueError):  # every p is checked, the zero input included
+        estimate_moment_decoupled(CoefficientTensor(np.zeros((1, 1, 1))), G, G,
+                                  [(2.0, 2.0), (2.0, 0.5)], _LEVEL_CFG)
+
+
+@pytest.mark.parametrize("a", [np.array([0.3, -1.2, 2.0]), np.zeros(3)])
+def test_gk_p_list_equals_per_p_calls(a):
+    ps = (1.0, 2.0, 4.0, 7.0)
+    shared = gk_moment(a, W1, ps, _LEVEL_CFG)
+    assert shared == [gk_moment(a, W1, p, _LEVEL_CFG) for p in ps]
+
+
+def test_batched_mean_columns_equal_one_column_calls():
+    cfg = McConfig(total_samples=8_000, batches=8, master_seed=9)
+    fns = [lambda gen, size: gen.standard_normal(size) ** 2, lambda gen, size: np.zeros(size)]
+    columns = _batched_mean(cfg, lambda gen, size: [fn(gen, size) for fn in fns], [None, 3.0])
+    assert columns == [_batched_mean(cfg, fns[0]), _batched_mean(cfg, fns[1], 3.0)]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True, "3", None])
+def test_master_seed_must_be_an_integer_in_range(seed):
+    with pytest.raises(ConfigurationError):
+        McConfig(master_seed=seed)
+
+
+def test_master_seed_extremes_accepted():
+    for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1)):
+        cfg = McConfig(total_samples=80, batches=8, master_seed=seed)
+        assert gk_moment(np.ones(2), G, 2.0, cfg).seed == seed
