@@ -13,10 +13,11 @@ The nonconvex suprema (T2-T5) are computed by alternating exact partial
 maximizations with deterministic multi-start, so every reported value is
 a certified lower bound of the corresponding supremum, with convergence
 flags in the report diagnostics.  The terms share the multi-start core
-of ``dual_norms``: each supplies a climb, ``_best_start`` keeps the best
-climb over the starts from ``_boundary_starts`` or ``_dual_ball_starts``,
-and ``_ascend`` runs the climbs of T2, T3, T5 and T6 to a stall (T4
-takes projected subgradient steps of its own).  No multiplicative
+of ``dual_norms``: each supplies a climb that yields every vector it needs
+``norm_Xp`` of, and ``_best_start`` runs the climbs from all starts in
+lockstep, one stacked ``norm_Xp`` call per ball a round, and keeps the
+best.  ``_ascend`` runs the climbs of T2, T3, T5 and T6 to a stall; T4
+still takes projected subgradient steps of its own.  No multiplicative
 constants are baked in: totals are plain sums and constant calibration
 happens in the experiment harness.
 """
@@ -109,7 +110,7 @@ def term_T2_supx(A, ballX, restarts=16, seed=0):
         b = np.einsum("ijk,i->jk", A.entries, x)
         _, w = _mixed_norm_value_and_alignment(b, A.q)
         d = np.einsum("ijk,jk->i", A.entries, w)
-        x = norm_Xp(d, ballX).maximizer
+        x = (yield d, ballX).maximizer
         b = np.einsum("ijk,i->jk", A.entries, x)
         return x, _mixed_norm_value_and_alignment(b, A.q)[0]
 
@@ -150,15 +151,15 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
 
     def evaluate(f):
         v = np.linalg.norm(slices @ f, axis=1)  # per outer index
-        res = norm_Xp(v, ball)
+        res = yield v, ball
         return res.value, v, np.abs(res.maximizer)
 
     if m == 1:
-        value, _, _ = evaluate(np.ones(1))
-        return NormResult(value, np.ones(1), True, 0)
+        v = np.linalg.norm(slices @ np.ones(1), axis=1)
+        return NormResult(norm_Xp(v, ball).value, np.ones(1), True, 0)
 
     def climb(f):
-        value, v, xw = evaluate(f)
+        value, v, xw = yield from evaluate(f)
         best_value, best_f = value, f
         stalled = 0
         for it in range(100):
@@ -174,7 +175,7 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
                 break
             step = 0.5 / math.sqrt(it + 1.0)
             f = _project_dual_ball(f + step * grad / gnorm, q_dual)
-            value, v, xw = evaluate(f)
+            value, v, xw = yield from evaluate(f)
             if value > best_value * (1.0 + 1e-9):
                 best_value, best_f = value, f
                 stalled = 0
@@ -207,8 +208,8 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
         x, y, _ = state
         f = lq_align(np.einsum("ijk,i,j->k", A.entries, x, y), A.q)
         M = A.entries @ f  # (n1, n2)
-        x = norm_Xp(M @ y, ballX).maximizer
-        y = norm_Xp(M.T @ x, ballY).maximizer
+        x = (yield M @ y, ballX).maximizer
+        y = (yield M.T @ x, ballY).maximizer
         return (x, y, f), float(x @ M @ y)
 
     # deterministic warm start: align f with the slice masses
@@ -327,6 +328,7 @@ def assemble_bound(A, kind, p, distX, distY, restarts=16, seed=0):
         res = solvers[name]()
         if isinstance(res, NormResult):
             diagnostics[name] = {k: getattr(res, k) for k in ("converged", "restarts_used", "winner")}
+            diagnostics[name]["spread"] = res.value - float(np.median(res.start_values or res.value))
             res = res.value
         terms[name] = res
     if gamma is not None:

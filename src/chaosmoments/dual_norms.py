@@ -23,6 +23,7 @@ safeguarded Newton steps inside the bracket find it.
 """
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -108,6 +109,7 @@ class NormResult:
     converged: bool = True
     restarts_used: int = 0
     winner: int | None = None  # index of the start ``_best_start`` kept
+    start_values: tuple = ()  # the value each start of ``_best_start`` reached
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,7 @@ def _by_law(ball, sel, method, values, out):
     """out[sel] = method of each coordinate's law at values[sel]."""
     for d, idx in ball.laws:
         here = np.zeros_like(sel)
-        here[:, idx] = sel[:, idx]
+        here[..., idx] = sel[..., idx]
         if here.any():
             out[here] = getattr(d, method)(values[here])
     return out
@@ -191,122 +193,139 @@ def _point(ball, tail, b):
 def _allocations(mags, ball, tail):
     """Maximize sum a_i hat_N_i^{-1}(b_i) over budgets summing to p, per row.
 
-    Row k of the (K, n) mask ``tail`` lets at most p coordinates past the
-    knee (b_i >= 1); returns the values (K,) and the points (K, n), all in
+    ``mags`` (B, n) holds B vectors' magnitudes.  Row k of vector v's mask
+    ``tail[v]`` (B, K, n) lets at most p coordinates past the knee
+    (b_i >= 1); returns the values (B, K) and the points (B, K, n), all in
     the ball.  The KKT budgets rise with mu = 1/lambda; their sum S changes
     formula only at kinks, mu = 2/a_i (saturation), N'(1)/a_i (the knee) and
     N'(N^{-1}(p))/a_i (the clamp), so S at the sorted kinks and their
     middles finds each row's segment.  There Newton on (log mu, log P), P
     the varying part of S, solves S = p from the middle, in one step when P
     is a power law.  Only the largest linear tail (r = 1) takes more than
-    the unit budget, with mu pinned at one over its coefficient.
+    the unit budget, with mu pinned at one over its coefficient.  Each
+    vector's rows are computed as a call on that vector alone computes them.
     """
     p = ball.p
-    rows = np.arange(len(tail))
+    vec, rows = np.arange(len(tail))[:, None], np.arange(tail.shape[1])
     inv = 1.0 / mags
     lin = ball._linear
-    cap = np.full(len(tail), np.inf)
+    cap = np.full(tail.shape[:2], np.inf)
     if lin.size:
-        free = lin[np.argmax(np.where(tail[:, lin], mags[lin], -1.0), axis=1)]
-        cap = np.where(tail[rows, free], inv[free], np.inf)
+        free = lin[np.argmax(np.where(tail[..., lin], mags[:, None, lin], -1.0), axis=2)]
+        cap = np.where(tail[vec, rows, free], inv[vec, free], np.inf)
     linear = cap < np.inf
 
-    kinks = [[0.0], 2.0 * inv, inv[lin]]
-    kinks = np.concatenate(kinks + [np.outer(k, inv[c]).ravel() for _, c, *k in ball._strict])
-    kinks = np.sort(kinks[kinks < np.inf])
-    pts = np.empty(2 * len(kinks) - 1)
-    pts[0::2] = kinks
-    pts[1::2] = 0.5 * kinks[:-1] + 0.5 * kinks[1:]
+    kinks = [np.zeros((len(mags), 1)), 2.0 * inv, inv[:, lin]]
+    kinks += [(np.array(k)[:, None] * inv[:, None, c]).reshape(len(mags), -1) for _, c, *k in ball._strict]
+    kinks = np.sort(np.concatenate(kinks, axis=1), axis=1)  # inf (a zero a_i) sorts last
+    last = (kinks < np.inf).sum(axis=1)[:, None] - 1
+    # pad with each vector's last finite kink: a repeated kink moves no segment
+    kinks = np.minimum(kinks, kinks[vec, last])[:, :last.max() + 1]
+    pts = np.empty((len(mags), 2 * kinks.shape[1] - 1))
+    pts[:, 0::2] = kinks
+    pts[:, 1::2] = 0.5 * kinks[:, :-1] + 0.5 * kinks[:, 1:]
     # S, its elasticity and its varying part at every point, per row: one matmul
-    bq, eq, bt, et = _branches(mags, ball, pts[:, None])
-    quad = np.concatenate((bq, eq, bq * (eq > 0.0)))
-    sums = quad.sum(axis=1)[:, None] + (np.concatenate((bt, et, bt * (et > 0.0))) - quad) @ tail.T
-    sums = sums.reshape(3, len(pts), -1)
-    spent = sums[0, 0::2]
-    top = np.where(linear, np.searchsorted(kinks, cap), len(kinks) - 1)
+    bq, eq, bt, et = _branches(mags[:, None], ball, pts[..., None])
+    quad = np.concatenate((bq, eq, bq * (eq > 0.0)), axis=1)
+    sums = quad.sum(axis=2)[..., None] + (
+        np.concatenate((bt, et, bt * (et > 0.0)), axis=1) - quad) @ tail.transpose(0, 2, 1)
+    sums = sums.reshape(len(mags), 3, pts.shape[1], -1).swapaxes(0, 1)
+    spent = sums[0, :, 0::2]
+    top = np.where(linear, (kinks[..., None] < cap[:, None]).sum(axis=1), kinks.shape[1] - 1)
     # loose rows need no root: a linear row whose free coordinate takes what
     # is left at its cap, or a row with budget to spare at every mu
-    loose = np.where(linear, spent[top, rows] <= p, spent[top, rows] < p)
-    j = np.argmax((spent >= p) & (np.arange(len(kinks))[:, None] <= top), axis=0)
-    seek = ~loose & (spent[j, rows] != p)  # the root is inside segment j
+    loose = np.where(linear, spent[vec, top, rows] <= p, spent[vec, top, rows] < p)
+    j = np.argmax((spent >= p) & (np.arange(kinks.shape[1])[:, None] <= top[:, None]), axis=1)
+    seek = ~loose & (spent[vec, j, rows] != p)  # the root is inside segment j
     mid = np.maximum(2 * j - 1, 0)
-    s, e, varying = sums[:, mid, rows]
-    lo = np.where(s < p, pts[mid], kinks[j - 1])
-    hi = np.where(s < p, kinks[j], pts[mid])
+    s, e, varying = sums[:, vec, mid, rows]
+    lo = np.where(s < p, pts[vec, mid], kinks[vec, j - 1])
+    hi = np.where(s < p, kinks[vec, j], pts[vec, mid])
 
     def newton(mu, s, e, varying):
         rest = p - (s - varying)  # what P must reach; nothing (a rounding gap): the root is lo
         guess = np.where(rest > 0.0, mu * np.exp(-np.log(varying / rest) * varying / e), lo)
         return np.where((guess >= lo) & (guess <= hi), guess, 0.5 * lo + 0.5 * hi)
 
-    far = min(2.0 * kinks[-1], np.finfo(float).max)  # past every kink
-    mu = np.where(loose, np.where(linear, cap, far), kinks[j])
-    mu = np.where(seek, newton(pts[mid], s, e, varying), mu)
+    far = np.minimum(2.0 * kinks[:, -1:], np.finfo(float).max)  # past every kink
+    mu = np.where(loose, np.where(linear, cap, far), kinks[vec, j])
+    mu = np.where(seek, newton(pts[vec, mid], s, e, varying), mu)
+    b, going = np.empty(tail.shape), np.ones(len(tail), dtype=bool)
     for it in range(_ROOT_MAX_ITERS + 1):
-        bq, eq, bt, et = _branches(mags, ball, mu[:, None])
-        b, e = np.where(tail, bt, bq), np.where(tail, et, eq)
-        if not seek.any():
-            break
-        s, elastic = b.sum(axis=1), e.sum(axis=1)
+        bq, eq, bt, et = _branches(mags[:, None], ball, mu[..., None])
+        now, e = np.where(tail, bt, bq), np.where(tail, et, eq)
+        s, elastic = now.sum(axis=2), e.sum(axis=2)
         converged = np.abs(p - s) <= _ROOT_TOL * elastic
-        if np.all(converged | ~seek) or it == _ROOT_MAX_ITERS:
-            # the last Newton step in log mu, (p - S) / elasticity <= tol, taken
-            # to first order along the budget path
-            b += e * np.where(seek & converged & (elastic > 0.0), (p - s) / elastic, 0.0)[:, None]
+        # a vector stops once all its rows do, taking the last Newton step in
+        # log mu, (p - S) / elasticity <= tol, to first order along the budget path
+        stop = going & (np.all(converged | ~seek, axis=1) | (it == _ROOT_MAX_ITERS))
+        step = np.where(seek & converged & (elastic > 0.0), (p - s) / elastic, 0.0)[..., None]
+        b[stop] = np.where(seek.any(axis=1)[:, None, None], now + e * step, now)[stop]
+        going &= ~stop
+        if not going.any():
             break
         lo, hi = np.where(s < p, mu, lo), np.where(s < p, hi, mu)
-        mu = np.where(seek, newton(mu, s, elastic, (b * (e > 0.0)).sum(axis=1)), mu)
+        mu = np.where(seek, newton(mu, s, elastic, (now * (e > 0.0)).sum(axis=2)), mu)
 
     if lin.size:
-        pinned = np.flatnonzero(loose & linear)
-        b[pinned, free[pinned]] = p - (b[pinned].sum(axis=1) - 1.0)
+        pv, pk = np.nonzero(loose & linear)
+        b[pv, pk, free[pv, pk]] = p - (b[pv, pk].sum(axis=1) - 1.0)
     x = _point(ball, tail, b)
     # feasibility fix-ups where the budget binds, from hat_N(x)
-    hat = _by_law(ball, ~loose[:, None] & (x > 1.0), "tail_N", x, x * x)
-    total = hat.sum(axis=1)
+    hat = _by_law(ball, ~loose[..., None] & (x > 1.0), "tail_N", x, x * x)
+    total = hat.sum(axis=2)
     over = ~loose & (total > p)
     renorm = over & ~linear  # budgets exactly onto the boundary
     if renorm.any():
         x[renorm] = _point(ball, tail[renorm], hat[renorm] * (p / total[renorm])[:, None])
     trim = over & linear  # conservative trim; deviation is O(root tol)
     x[trim] *= (p / total[trim])[:, None]
-    return x @ mags, x
+    return np.array([xv @ m for xv, m in zip(x, mags)]), x
+
+
+def _tail_sets(mags, ball):
+    """The (B, K, n) past-the-knee masks of B vectors, K the same for all."""
+    prefixes = []
+    for d, idx in ball.laws:
+        order = idx[np.argsort(-mags[:, idx], axis=1)]
+        k_max = min(len(idx), 1 if d.linear_tail else int(math.floor(ball.p + 1e-12)))
+        masks = np.zeros((len(mags), k_max + 1, ball.dim), dtype=bool)
+        np.put_along_axis(masks, order[:, None, :k_max], np.arange(k_max + 1)[:, None] > np.arange(k_max), 2)
+        prefixes.append(masks)
+    if math.prod(m.shape[1] for m in prefixes) > 2 ** 15:
+        raise ConfigurationError("more than 2**15 past-the-knee sets to enumerate")
+    tail = prefixes[0]
+    for masks in prefixes[1:]:  # in itertools.product order
+        tail = (tail[:, :, None] | masks[:, None]).reshape(len(mags), -1, ball.dim)
+        tail = tail[:, tail[0].sum(axis=1) <= ball.p]
+    return tail
 
 
 def norm_Xp(a, ball):
     """Support function sup { <a, x> : sum hat_N_i(x_i) <= p }, exact.
 
+    ``a`` is one vector (n,), or a stack (B, n) that gives B values and B
+    points, each row equal bit for bit to the call on that row alone.
     Every combination of per-law past-the-knee prefixes is one candidate row
     of ``_allocations``, all solved together; a tie keeps the earlier
     combination, and more than 2**15 combinations raise ConfigurationError.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size == 0:
-        return NormResult(0.0, np.zeros(0))
-    if a.size != ball.dim:
-        raise ValueError(f"dimension mismatch: {a.size} != {ball.dim}")
+    a = np.asarray(a, dtype=float)
+    stack = a.ndim == 2
+    a = a if stack else a.reshape(1, -1)
+    if a.size and a.shape[1] != ball.dim:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} != {ball.dim}")
     if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
     mags = np.abs(a)
-    if not mags.any():
-        return NormResult(0.0, np.zeros(a.size))
-
-    prefixes = []
-    for d, idx in ball.laws:
-        order = idx[np.argsort(-mags[idx])]
-        k_max = min(len(idx), 1 if d.linear_tail else int(math.floor(ball.p + 1e-12)))
-        masks = np.zeros((k_max + 1, a.size), dtype=bool)
-        masks[:, order[:k_max]] = np.arange(k_max + 1)[:, None] > np.arange(k_max)
-        prefixes.append(masks)
-    if math.prod(len(m) for m in prefixes) > 2 ** 15:
-        raise ConfigurationError("more than 2**15 past-the-knee sets to enumerate")
-    tail = prefixes[0]
-    for masks in prefixes[1:]:  # in itertools.product order
-        tail = (tail[:, None] | masks).reshape(-1, a.size)
-        tail = tail[tail.sum(axis=1) <= ball.p]
-    values, points = _allocations(mags, ball, tail)
-    best = int(np.argmax(values))
-    return NormResult(float(values[best]), np.sign(a) * points[best])
+    values, points = np.zeros(len(a)), np.zeros(a.shape)
+    live = mags.any(axis=1)
+    if live.any():
+        found, at = _allocations(mags[live], ball, _tail_sets(mags[live], ball))
+        rows, best = np.arange(len(found)), np.argmax(found, axis=1)
+        values[live] = found[rows, best]
+        points[live] = np.sign(a[live]) * at[rows, best]
+    return NormResult(values, points) if stack else NormResult(float(values[0]), points[0])
 
 
 def norm_Xp_dual(a, ball):
@@ -402,14 +421,15 @@ def boundary_scale(directions, ball):
 def _ascend(state, step, tol=_ALT_TOL):
     """Run ``state, value = step(state)`` until the gain stalls.
 
-    Stops once a step gains at most ``tol * max(1, |value|)``; returns
-    (value, state, converged).  ``converged`` is False when the iteration
-    cap is hit first; every step before the cap gained, so the value kept
-    is still the best one seen.
+    A generator climb for ``_best_start``: a step that is a generator passes
+    its norm_Xp requests through.  Stops once a step gains at most
+    ``tol * max(1, |value|)``; returns (value, state, converged).
+    ``converged`` is False when the iteration cap is hit first; every step
+    before the cap gained, so the value kept is still the best one seen.
     """
     value = -math.inf
     for _ in range(_ALT_MAX_ITERS):
-        state, new_value = step(state)
+        state, new_value = (yield from out) if inspect.isgenerator(out := step(state)) else out
         if new_value - value <= tol * max(1.0, abs(new_value)):
             return max(value, new_value), state, True
         value = new_value
@@ -419,16 +439,34 @@ def _ascend(state, step, tol=_ALT_TOL):
 def _best_start(starts, climb):
     """Best (value, point, converged) that ``climb`` reaches from a start.
 
-    A tie keeps the earlier start, whose index is ``winner``.  The value is
-    attained by a feasible point, so it is a certified lower bound of the
-    supremum.
+    ``climb(start)`` returns that triple, or is a generator that yields each
+    ``(vector, ball)`` it needs norm_Xp of and is sent the NormResult.  The
+    climbs run in lockstep, one stacked norm_Xp call per ball a round.  A
+    tie keeps the earlier start, whose index is ``winner``; ``start_values``
+    lists every start's value.  The value is attained by a feasible point,
+    so it is a certified lower bound of the supremum.
     """
+    results = [climb(start) for start in starts]
+    replies = {i: None for i, run in enumerate(results) if inspect.isgenerator(run)}
+    while replies:
+        asks = {}
+        for i, reply in replies.items():
+            try:
+                vector, ball = results[i].send(reply)
+            except StopIteration as done:
+                results[i] = done.value
+            else:
+                asks.setdefault(ball, {})[i] = vector
+        replies = {}
+        for ball, group in asks.items():
+            res = norm_Xp(np.array(list(group.values())), ball)
+            replies.update(zip(group, map(NormResult, res.value.tolist(), res.maximizer)))
     best = NormResult(-math.inf, None, False)
-    for index, start in enumerate(starts):
-        value, point, converged = climb(start)
+    for index, (value, point, converged) in enumerate(results):
         if value > best.value:
             best = NormResult(value, point, converged, winner=index)
     best.restarts_used = len(starts)
+    best.start_values = tuple(value for value, _, _ in results)
     return best
 
 
@@ -485,8 +523,8 @@ def norm_XYp(A2, ballX, ballY, restarts=16, seed=0):
         return NormResult(0.0, np.zeros(n1 + n2), True, 0)
 
     def step(state):
-        x = norm_Xp(A2 @ state[1], ballX).maximizer
-        y = norm_Xp(A2.T @ x, ballY).maximizer
+        x = (yield A2 @ state[1], ballX).maximizer
+        y = (yield A2.T @ x, ballY).maximizer
         return (x, y), float(x @ A2 @ y)
 
     # warm start from the top singular pair, plus seeded ball points

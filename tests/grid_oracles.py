@@ -16,11 +16,11 @@ from chaosmoments.dual_norms import _allocations, boundary_scale
 
 def _allocate(mags, ball, tail_set):
     """``_allocations`` for one past-the-knee set: (value, x), or None if it does not fit."""
-    tail = np.isin(np.arange(len(mags)), tail_set)[None]
+    tail = np.isin(np.arange(len(mags)), tail_set)[None, None]
     if tail.sum() > ball.p:
         return None
-    values, points = _allocations(mags, ball, tail)
-    return float(values[0]), points[0]
+    values, points = _allocations(mags[None], ball, tail)
+    return float(values[0, 0]), points[0, 0]
 
 
 def _angles_to_dirs(dim, grids):

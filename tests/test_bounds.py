@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chaosmoments import bounds
 from chaosmoments.bounds import (
     HILBERT,
     KIND_TERMS,
@@ -21,7 +22,7 @@ from chaosmoments.bounds import (
     term_T6_operator,
 )
 from chaosmoments.distributions import EXP_POWER, GAUSSIAN, WEIBULL, make_distribution
-from chaosmoments.dual_norms import ConfigurationError, ball
+from chaosmoments.dual_norms import ConfigurationError, NormResult, ball
 from chaosmoments.functionals import CoefficientTensor
 from chaosmoments.rng import stream
 
@@ -160,6 +161,17 @@ def test_diagnostics_name_the_winning_start():
     assert rep.diagnostics["T2"]["winner"] == term_T2_supx(A, ball(W2, 3.0, A.n1), 3, 7).winner
     for diag in rep.diagnostics.values():
         assert 0 <= diag["winner"] < diag["restarts_used"]
+
+
+def test_diagnostics_report_the_spread_over_starts(monkeypatch):
+    # known start values: the best is 5 and the median 3
+    found = NormResult(5.0, np.zeros(1), True, 4, 2, (1.0, 2.0, 5.0, 4.0))
+    monkeypatch.setattr(bounds, "term_T5_sup_f_xyp", lambda *args: found)
+    rep = assemble_bound(SCALAR, TWO_SIDED, 2.0, W2, W2)
+    assert rep.terms["T5"] == 5.0
+    assert rep.diagnostics["T5"]["spread"] == 2.0
+    for name in ("T2", "T3", "T4r"):
+        assert rep.diagnostics[name]["spread"] >= 0.0
 
 
 PINNED_TENSOR = np.array([

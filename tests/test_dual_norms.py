@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaosmoments import dual_norms
 from chaosmoments.distributions import EXP_POWER, WEIBULL, make_distribution
 from chaosmoments.dual_norms import (
     ConfigurationError,
@@ -335,16 +336,22 @@ def test_invalid_ball_rejected():
         DualBall(2.0, ())
 
 
+def _run_ascend(state, step):
+    """(value, state, converged) of the generator ``_ascend`` from one start."""
+    res = _best_start([state], lambda s: _ascend(s, step))
+    return res.value, res.maximizer, res.converged
+
+
 def test_ascend_reports_the_iteration_cap():
     # every step gains 1, so the ascent never stalls
-    value, state, converged = _ascend(0, lambda s: (s + 1, float(s + 1)))
+    value, state, converged = _run_ascend(0, lambda s: (s + 1, float(s + 1)))
     assert not converged
     assert value == state == _ALT_MAX_ITERS
 
 
 def test_ascend_stops_on_a_stall_and_keeps_the_best_value():
     values = iter([1.0, 3.0, 2.0])
-    value, state, converged = _ascend(0, lambda s: (s + 1, next(values)))
+    value, state, converged = _run_ascend(0, lambda s: (s + 1, next(values)))
     assert converged
     assert value == 3.0
     assert state == 3  # the state of the last step, not of the best one
@@ -361,3 +368,41 @@ def test_best_start_records_the_winning_start():
     climb = lambda s: (s, s, True)
     assert _best_start([1.0, 0.5, 4.0, 2.0], climb).winner == 2
     assert _best_start([1.0, 3.0, 3.0, 2.0], climb).winner == 1  # a tie keeps the earlier start
+
+
+def test_best_start_records_every_start_value():
+    climb = lambda s: (s, s, True)
+    assert _best_start([1.0, 0.5, 4.0, 2.0], climb).start_values == (1.0, 0.5, 4.0, 2.0)
+
+
+LOCKSTEP_MATRIX = np.array([[0.8, -1.3], [0.2, 0.5], [-0.7, 1.1]])
+
+
+def _two_ball_climb(start):
+    """``steps`` alternating solves in two balls per step, as T5 makes them."""
+    steps, y = start
+    bx, by = ball(W1, 2.5, 3), ball(E2, 3.0, 2)
+    value = 0.0
+    for _ in range(steps):
+        x = (yield LOCKSTEP_MATRIX @ y, bx).maximizer
+        y = (yield LOCKSTEP_MATRIX.T @ x, by).maximizer
+        value = float(x @ LOCKSTEP_MATRIX @ y)
+    return value, y, steps != 2
+
+
+def test_best_start_runs_climbs_in_lockstep(monkeypatch):
+    starts = [(3, np.array([1.0, 0.0])), (1, np.array([0.3, -0.9])),
+              (0, np.array([1.0, 1.0])), (2, np.array([-0.2, 0.4]))]
+    alone = [_best_start([start], _two_ball_climb) for start in starts]
+    calls = []
+    norm = dual_norms.norm_Xp
+    monkeypatch.setattr(dual_norms, "norm_Xp", lambda a, b: calls.append(len(a)) or norm(a, b))
+    together = _best_start(starts, _two_ball_climb)
+    # one stacked call per ball and round, over the climbs still running
+    assert calls == [3, 3, 2, 2, 1, 1]
+    assert together.start_values == tuple(res.value for res in alone)
+    winner = max(range(len(starts)), key=lambda i: (alone[i].value, -i))
+    assert together.winner == winner
+    assert together.value == alone[winner].value
+    assert together.converged == alone[winner].converged
+    assert np.array_equal(together.maximizer, alone[winner].maximizer)

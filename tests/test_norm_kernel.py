@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosmoments import bounds
+from chaosmoments import bounds, dual_norms
 from chaosmoments.distributions import EXP_POWER, WEIBULL, make_distribution
 from chaosmoments.dual_norms import DualBall, ball, norm_Xp
 from chaosmoments.functionals import CoefficientTensor
@@ -140,13 +140,50 @@ T4_TENSOR = CoefficientTensor(np.array([
 
 @pytest.mark.parametrize("q,capped", [(2.0, True), (1.0, False)])
 def test_t4_reports_its_step_cap(monkeypatch, q, capped):
-    # every climb makes one norm_Xp call at its start and one per step, so
-    # 101 calls per start means every climb ran into the 100-step cap
+    # every climb solves one vector at its start and one per step, so 101
+    # solved vectors per start mean every climb ran into the 100-step cap
     calls = []
-    norm = bounds.norm_Xp
-    monkeypatch.setattr(bounds, "norm_Xp", lambda a, b: calls.append(1) or norm(a, b))
+    norm = dual_norms.norm_Xp
+    monkeypatch.setattr(dual_norms, "norm_Xp", lambda a, b: calls.extend(np.atleast_2d(a)) or norm(a, b))
     A = CoefficientTensor(T4_TENSOR.entries, q=q)
     res = bounds.term_T4_sup_f_column(A, ball(make_distribution(WEIBULL, 2.0), 3.0, 3), restarts=1, seed=7)
     starts = A.m + 1
     assert (len(calls) == 101 * starts) == capped
     assert res.converged == (not capped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    p=st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0, 7.3, 8.0]),
+    scale=st.sampled_from([1.0, 1e150, 1e-150]),
+    homogeneous=st.booleans(),
+)
+def test_stacked_rows_equal_their_single_calls(seed, rows, p, scale, homogeneous):
+    # mixed and homogeneous balls with r = 1 laws among them, zero
+    # coordinates and, half the time, one all-zero row
+    gen = stream(seed, 0)
+    n = int(gen.integers(1, 6))
+    picks = gen.integers(0, len(MIXED_LAWS), 1 if homogeneous else n)
+    b = _ball([MIXED_LAWS[k] for k in np.resize(picks, n)], p)
+    a = gen.standard_normal((rows, n)) * scale
+    a[gen.random((rows, n)) < 0.3] = 0.0
+    a[int(gen.integers(rows))] *= float(gen.integers(0, 2))
+    res = norm_Xp(a, b)
+    assert res.value.shape == (rows,) and res.maximizer.shape == (rows, n)
+    for k in range(rows):
+        one = norm_Xp(a[k], b)
+        assert res.value[k] == one.value
+        assert np.array_equal(res.maximizer[k], one.maximizer)
+
+
+def test_stacked_input_checked():
+    b = _ball([W[1]] * 3, 2.0)
+    with pytest.raises(ValueError, match="dimension"):
+        norm_Xp(np.ones((2, 4)), b)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.ones((2, 3))
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            norm_Xp(a, b)
