@@ -9,17 +9,19 @@ Each two-sided moment estimate is a sum of named nonnegative terms:
 * T5 -- dual-functional supremum of the bilinear ball norm,
 * T6 -- the level-p multiple of the worst slice operator norm.
 
-The nonconvex suprema (T2-T5) are computed by alternating exact partial
-maximizations with deterministic multi-start, so every reported value is
-a certified lower bound of the corresponding supremum, with convergence
-flags in the report diagnostics.  The terms share the multi-start core
-of ``dual_norms``: each supplies a climb that yields every vector it needs
-``norm_Xp`` of, and ``_best_start`` runs the climbs from all starts in
-lockstep, one stacked ``norm_Xp`` call per ball a round, and keeps the
-best.  ``_ascend`` runs the climbs of T2, T3, T5 and T6 to a stall; T4
-still takes projected subgradient steps of its own.  No multiplicative
-constants are baked in: totals are plain sums and constant calibration
-happens in the experiment harness.
+The suprema T2-T6 are computed by alternating exact partial maximizations
+with deterministic multi-start, so every reported value is a certified
+lower bound of the corresponding supremum.  Each returns a ``NormResult``,
+whose convergence, winning start and spread over starts go into the report
+diagnostics.  The terms share the multi-start core of ``dual_norms``: each
+supplies a climb that yields every vector it needs ``norm_Xp`` of, and
+``_best_start`` runs the climbs from all starts in lockstep, one stacked
+``norm_Xp`` call per ball a round, and keeps the best; T6 runs one
+``_best_start`` over every (slice, direction) pair.  ``_ascend`` runs the
+climbs of T2, T3, T5 and T6 to a stall; T4 still takes projected
+subgradient steps of its own.  No multiplicative constants are baked in:
+totals are plain sums and constant calibration happens in the experiment
+harness.
 """
 
 import math
@@ -154,10 +156,6 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
         res = yield v, ball
         return res.value, v, np.abs(res.maximizer)
 
-    if m == 1:
-        v = np.linalg.norm(slices @ np.ones(1), axis=1)
-        return NormResult(norm_Xp(v, ball).value, np.ones(1), True, 0)
-
     def climb(f):
         value, v, xw = yield from evaluate(f)
         best_value, best_f = value, f
@@ -225,28 +223,30 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
 
 
 def term_T6_operator(A, p, restarts=8, seed=0):
-    """p times the worst ell_{q'} -> ell_2 operator norm over slices."""
-    starts = _dual_ball_starts(A.m, A.q_dual, restarts, seed)
-    best = 0.0
-    for S in A.entries:
-        best = max(best, _slice_operator_norm(S, A.q, starts))
-    return p * best
+    """p times the worst ell_{q'} -> ell_2 operator norm over slices.
 
+    One ``_best_start`` climbs from every (slice, direction) pair by
+    alternating alignment; the maximizer is the winning direction t, and
+    the start values are scaled by p like the value.
+    """
+    def climb(start):
+        S, t = start
 
-def _slice_operator_norm(S, q, starts):
-    """sup_{t in B_{q'}} |S t|_2 by alternating alignment from ``starts``."""
-    if not S.any():
-        return 0.0
+        def step(t):
+            img = S @ t
+            nrm = float(np.linalg.norm(img))
+            if nrm == 0.0:  # a zero slice, or a start in the kernel of S
+                return t, 0.0
+            t = lq_align(S.T @ (img / nrm), A.q)
+            return t, float(np.linalg.norm(S @ t))
 
-    def step(t):
-        img = S @ t
-        nrm = float(np.linalg.norm(img))
-        if nrm == 0.0:  # only a start can lie in the kernel of S
-            return t, 0.0
-        t = lq_align(S.T @ (img / nrm), q)
-        return t, float(np.linalg.norm(S @ t))
+        return _ascend(t, step, tol=1e-12)
 
-    return _best_start(starts, lambda t: _ascend(t, step, tol=1e-12)).value
+    directions = _dual_ball_starts(A.m, A.q_dual, restarts, seed)
+    best = _best_start([(S, t) for S in A.entries for t in directions], climb)
+    best.value *= p
+    best.start_values = tuple(p * v for v in best.start_values)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,6 @@ def assemble_bound(A, kind, p, distX, distY, restarts=16, seed=0):
             )
 
     solvers = {
-        "T1": lambda: term_T1_chaos_mean(A),
         "T2": lambda: term_T2_supx(A, ballX, restarts, seed),
         "T3": lambda: term_T3_supy(A, ballY, restarts, seed),
         "T4r": lambda: term_T4_sup_f_column(A, ballX, "rows", restarts, seed),
@@ -322,17 +321,14 @@ def assemble_bound(A, kind, p, distX, distY, restarts=16, seed=0):
         "T5": lambda: term_T5_sup_f_xyp(A, ballX, ballY, restarts, seed),
         "T6": lambda: term_T6_operator(A, p, restarts, seed),
     }
-    terms = {}
+    T1 = term_T1_chaos_mean(A)  # the closed form, first term of every kind
+    terms = {"T1": T1 if gamma is None else gamma * T1}
     diagnostics = {}
-    for name in KIND_TERMS[kind]:
+    for name in KIND_TERMS[kind][1:]:
         res = solvers[name]()
-        if isinstance(res, NormResult):
-            diagnostics[name] = {k: getattr(res, k) for k in ("converged", "restarts_used", "winner")}
-            diagnostics[name]["spread"] = res.value - float(np.median(res.start_values or res.value))
-            res = res.value
-        terms[name] = res
-    if gamma is not None:
-        terms["T1"] = gamma * terms["T1"]
+        terms[name] = res.value
+        diagnostics[name] = {k: getattr(res, k) for k in ("converged", "restarts_used", "winner")}
+        diagnostics[name]["spread"] = res.value - float(np.median(res.start_values or res.value))
 
     total = float(sum(terms.values()))
     return BoundReport(

@@ -66,9 +66,9 @@ def _load_config(args):
 
 
 def _threads(args):
+    """Check ``--threads``, kept for old command lines; it has no effect."""
     if args.threads < 1:
         raise ConfigurationError("threads must be >= 1")
-    return args.threads
 
 
 def _emit(text, args):
@@ -84,10 +84,8 @@ def _emit(text, args):
 
 def _run_rows(args, deterministic, simulate):
     cfg = _load_config(args)
-    rows = harness.run_experiment(
-        cfg, threads=_threads(args),
-        deterministic=deterministic, simulate=simulate,
-    )
+    _threads(args)
+    rows = harness.run_experiment(cfg, deterministic=deterministic, simulate=simulate)
     _emit(harness.render_report(rows, args.format), args)
     return 1 if any(row.flags for row in rows) else 0
 

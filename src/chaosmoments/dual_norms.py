@@ -305,16 +305,17 @@ def norm_Xp(a, ball):
     """Support function sup { <a, x> : sum hat_N_i(x_i) <= p }, exact.
 
     ``a`` is one vector (n,), or a stack (B, n) that gives B values and B
-    points, each row equal bit for bit to the call on that row alone.
+    points, each row equal bit for bit to the call on that row alone; n is
+    ``ball.dim``, and an empty (0, n) stack is allowed.
     Every combination of per-law past-the-knee prefixes is one candidate row
     of ``_allocations``, all solved together; a tie keeps the earlier
     combination, and more than 2**15 combinations raise ConfigurationError.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != ball.dim:
+        raise ValueError(f"dimension mismatch: {a.shape} is not ({ball.dim},) or (B, {ball.dim})")
     stack = a.ndim == 2
-    a = a if stack else a.reshape(1, -1)
-    if a.size and a.shape[1] != ball.dim:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} != {ball.dim}")
+    a = a if stack else a[None]
     if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
     mags = np.abs(a)

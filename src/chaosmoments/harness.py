@@ -1,8 +1,9 @@
 """Batch experiment runner: ensembles, grids, and comparison reports.
 
-An experiment is an ``ExperimentConfig``, which checks its values however it
-is built: by ``parse_config`` from a JSON document (type-checked against the
-one ``_SCHEMA`` table first), in Python, or with ``dataclasses.replace``.
+An experiment is an ``ExperimentConfig``, which checks the type of each value
+against its field's annotation, and then its range, however it is built: by
+``parse_config`` from a JSON document (whose keys the one ``_SCHEMA`` table
+maps to fields), in Python, or with ``dataclasses.replace``.
 Every run is a pure function of the config, master seed included, and rows
 are emitted in deterministic grid order so re-runs produce byte-identical
 reports.  One Monte Carlo call per (r, instance) serves every (q, p).
@@ -14,7 +15,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,6 +50,23 @@ _COLUMN_TYPES = {**dict.fromkeys(("n1", "n2", "m", "seed"), int), "ensemble": st
 _MINIMUM = dict(n1=1, n2=1, m=1, instances=1, restarts=1)
 
 
+def _is_number(value):
+    # JSON NaN, Infinity and huge integers parse too; a number must fit a finite float
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
+#: ExperimentConfig annotation -> (check of a value, what the value must be)
+_FIELD_TYPES = {
+    int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    float: (_is_number, "a finite number"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+            "a list of finite numbers"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment; every value is checked here, whichever way it is built.
@@ -73,6 +92,10 @@ class ExperimentConfig:
     unit_variance: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            check, kind = _FIELD_TYPES[f.type]
+            if not check(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be {kind}")
         if self.ensemble not in ENSEMBLES:
             raise ConfigurationError(
                 f"unknown ensemble {self.ensemble!r}; expected one of {ENSEMBLES}"
@@ -125,38 +148,22 @@ class ComparisonRow:
     flags: str
 
 
-_REAL = (int, float)
-#: JSON key -> subtable, or (ExperimentConfig field, type); a one-element
-#: list as the type holds the type of every entry
+#: JSON key -> subtable, or the ExperimentConfig field it sets
 _SCHEMA = {
-    "ensemble": ("ensemble", str),
-    "density": ("density", _REAL),
-    "dimensions": {"n1": ("n1", int), "n2": ("n2", int), "m": ("m", int)},
-    "grids": {"q": ("q_grid", [_REAL]), "r": ("r_grid", [_REAL]), "p": ("p_grid", [_REAL])},
-    "dist": {"family_x": ("family_x", str), "family_y": ("family_y", str)},
-    "mc": {
-        "total_samples": ("total_samples", int),
-        "batches": ("batches", int),
-        "unit_variance": ("unit_variance", bool),
-    },
-    "instances": ("instances", int),
-    "restarts": ("restarts", int),
-    "seed": ("seed", int),
+    "ensemble": "ensemble",
+    "density": "density",
+    "dimensions": {"n1": "n1", "n2": "n2", "m": "m"},
+    "grids": {"q": "q_grid", "r": "r_grid", "p": "p_grid"},
+    "dist": {"family_x": "family_x", "family_y": "family_y"},
+    "mc": {key: key for key in ("total_samples", "batches", "unit_variance")},
+    "instances": "instances",
+    "restarts": "restarts",
+    "seed": "seed",
 }
-_KIND_NAMES = {str: "a string", _REAL: "a finite number", int: "an integer", bool: "a boolean"}
 
 
-def _is_kind(value, kind):
-    if isinstance(value, bool):  # JSON true/false; Python counts bool as an int
-        return kind is bool
-    if not isinstance(value, kind):
-        return False
-    # JSON NaN, Infinity and huge integers parse too; a number must fit a float
-    return kind is not _REAL or abs(value) <= sys.float_info.max
-
-
-def _collect_fields(doc, schema, fields, prefix=""):
-    """Type-check ``doc`` against ``schema`` and gather its values by field name."""
+def _collect_fields(doc, schema, values, prefix=""):
+    """Gather the values of ``doc`` by field name; ExperimentConfig checks them."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{prefix[:-1] or 'configuration'} must be a JSON object")
     unknown = [prefix + k for k in doc if k not in schema]
@@ -164,17 +171,9 @@ def _collect_fields(doc, schema, fields, prefix=""):
         raise ConfigurationError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     for key, value in doc.items():
         if isinstance(schema[key], dict):
-            _collect_fields(value, schema[key], fields, prefix + key + ".")
-            continue
-        field, kind = schema[key]
-        if isinstance(kind, list):
-            if not isinstance(value, list) or not all(_is_kind(x, kind[0]) for x in value):
-                raise ConfigurationError(
-                    f"{prefix + key} must be a list whose entries are each {_KIND_NAMES[kind[0]]}"
-                )
-        elif not _is_kind(value, kind):
-            raise ConfigurationError(f"{prefix + key} must be {_KIND_NAMES[kind]}")
-        fields[field] = value
+            _collect_fields(value, schema[key], values, prefix + key + ".")
+        else:
+            values[schema[key]] = value
 
 
 def parse_config(text):
@@ -183,9 +182,9 @@ def parse_config(text):
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed configuration: {exc}") from exc
-    fields = {}
-    _collect_fields(doc, _SCHEMA, fields)
-    return ExperimentConfig(**fields)
+    values = {}
+    _collect_fields(doc, _SCHEMA, values)
+    return ExperimentConfig(**values)
 
 
 def generate_ensemble(cfg, index):
@@ -279,13 +278,12 @@ def _run_point(cfg, A, r, p, dists, mc, deterministic=True):
     )
 
 
-def run_experiment(cfg, threads=1, deterministic=True, simulate=True):
+def run_experiment(cfg, deterministic=True, simulate=True):
     """All grid points in deterministic order; flagged rows do not abort.
 
     Tensors and distributions are built once, and one Monte Carlo draw per
-    (r, instance) serves every (q, p).  ``threads`` is accepted for
-    compatibility and has no effect: the points are computed one after
-    another (the solvers hold the GIL, so a thread pool only added contention).
+    (r, instance) serves every (q, p).  The points are computed one after
+    another: the solvers hold the GIL, so a thread pool only added contention.
     """
     tensors = [generate_ensemble(cfg, index) for index in range(cfg.instances)]
     dists = {r: tuple(make_distribution(f, 2.0 if f == GAUSSIAN else r)

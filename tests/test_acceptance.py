@@ -151,7 +151,7 @@ def sandwich_grid():
             for p in GRID_P:
                 rep = assemble_bound(A, LOWER, p, d, d, restarts=8, seed=SEED)
                 five = rep.total - rep.terms["T4c"]
-                upper = rep.total + term_T6_operator(A, p)
+                upper = rep.total + term_T6_operator(A, p).value
                 mc = estimate_moment_decoupled(A, d, d, p, cfg).value
                 points[(q, r, p)] = {"five": five, "upper": upper, "mc": mc}
     return points
@@ -210,7 +210,7 @@ def test_acceptance_07_general_upper(sandwich_grid):
     worst = 0.0
     for _ in range(5):
         A = CoefficientTensor(gen.standard_normal((4, 3, 3)), q=2.0)
-        val = term_T6_operator(A, 2.0)
+        val = term_T6_operator(A, 2.0).value
         svd = 2.0 * max(np.linalg.svd(S, compute_uv=False)[0] for S in A.entries)
         worst = max(worst, abs(val - svd) / svd)
         assert val == pytest.approx(svd, rel=1e-8)
@@ -312,8 +312,8 @@ def test_acceptance_10_determinism(tmp_path):
         "seed": SEED,
     })
     cfg = parse_config(doc)
-    first = render_report(run_experiment(cfg, threads=2), "csv")
-    second = render_report(run_experiment(cfg, threads=1), "csv")
+    first = render_report(run_experiment(cfg), "csv")
+    second = render_report(run_experiment(cfg), "csv")
     assert first == second
 
     rows = run_experiment(cfg)

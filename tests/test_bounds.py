@@ -22,7 +22,7 @@ from chaosmoments.bounds import (
     term_T6_operator,
 )
 from chaosmoments.distributions import EXP_POWER, GAUSSIAN, WEIBULL, make_distribution
-from chaosmoments.dual_norms import ConfigurationError, NormResult, ball
+from chaosmoments.dual_norms import ConfigurationError, NormResult, ball, norm_Xp
 from chaosmoments.functionals import CoefficientTensor
 from chaosmoments.rng import stream
 
@@ -42,7 +42,7 @@ def test_scalar_terms_closed_form():
     assert term_T3_supy(SCALAR, by).value == pytest.approx(4.0, rel=1e-9)
     assert term_T4_sup_f_column(SCALAR, bx, "rows").value == pytest.approx(4.0, rel=1e-9)
     assert term_T5_sup_f_xyp(SCALAR, bx, by).value == pytest.approx(16.0, rel=1e-9)
-    assert term_T6_operator(SCALAR, 4.0) == pytest.approx(4.0, rel=1e-12)
+    assert term_T6_operator(SCALAR, 4.0).value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_scalar_two_sided_assembly():
@@ -123,12 +123,47 @@ def test_restarts_monotone_ascent():
 def test_T6_matches_singular_values_at_q2(q):
     gen = stream(67, 0)
     A = CoefficientTensor(gen.standard_normal((3, 4, 3)), q=q)
-    val = term_T6_operator(A, 2.0)
+    val = term_T6_operator(A, 2.0).value
     if q == 2.0:
         svd = 2.0 * max(np.linalg.svd(S, compute_uv=False)[0] for S in A.entries)
         assert val == pytest.approx(svd, rel=1e-8)
     else:
         assert val > 0.0
+
+
+def test_T6_reports_its_starts():
+    A = CoefficientTensor(PINNED_TENSOR, q=2.0)
+    rep = assemble_bound(A, UPPER_GENERAL, 3.0, W2, W2, restarts=3, seed=7)
+    diag = rep.diagnostics["T6"]
+    assert diag["restarts_used"] == A.n1 * (A.m + 3)  # every (slice, direction) pair
+    assert 0 <= diag["winner"] < diag["restarts_used"]
+    assert 0.0 <= diag["spread"] <= rep.terms["T6"]
+    res = term_T6_operator(A, 3.0, restarts=3, seed=7)
+    assert res.value == rep.terms["T6"] == res.start_values[res.winner]  # in the value's units
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+def test_T6_zero_slices_change_nothing(q):
+    entries = stream(71, 0).standard_normal((2, 3, 2))
+    zero = np.zeros((1, 3, 2))
+    plain = term_T6_operator(CoefficientTensor(entries, q=q), 3.0)
+    padded = term_T6_operator(CoefficientTensor(np.concatenate([zero, entries, zero]), q=q), 3.0)
+    assert padded.value == plain.value and padded.converged
+    assert np.array_equal(padded.maximizer, plain.maximizer)
+    empty = term_T6_operator(CoefficientTensor(np.zeros((2, 3, 2)), q=q), 3.0)
+    assert empty.value == 0.0 and empty.converged
+
+
+@pytest.mark.parametrize("side", ["rows", "columns"])
+@pytest.mark.parametrize("d", [W1, W2], ids=["r1", "r2"])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_T4_one_column_is_the_norm_of_the_slice_norms(q, d, side):
+    # with m = 1 the dual ball is [-1, 1], and f = 1 attains the supremum
+    A = CoefficientTensor(stream(73, 0).standard_normal((3, 2, 1)), q=q)
+    T = A if side == "rows" else A.transposed()
+    b = ball(d, 3.0, T.n1)
+    res = term_T4_sup_f_column(A, b, side, restarts=4, seed=1)
+    assert res.value == norm_Xp(np.linalg.norm(T.entries[..., 0], axis=1), b).value
 
 
 def test_gamma_gaussian_tail_is_half():

@@ -71,6 +71,19 @@ def test_invalid_values_rejected():
     ("p_grid", ()),
     ("r_grid", (float("nan"),)),
     ("total_samples", 100),
+    # types, checked from each field's annotation
+    ("n1", 2.5),
+    ("restarts", 1.5),
+    ("instances", 2.5),
+    ("n1", True),
+    ("unit_variance", "no"),
+    ("unit_variance", 1),
+    ("q_grid", ("2",)),
+    ("q_grid", (True,)),
+    ("p_grid", "24"),
+    ("r_grid", (10 ** 400,)),
+    ("density", "0.5"),
+    ("density", True),
 ])
 def test_invalid_values_rejected_at_construction(field, value):
     with pytest.raises(ConfigurationError):
@@ -198,9 +211,9 @@ def test_threading_preserves_order():
         "instances": 2,
         "restarts": 2,
     }))
-    serial = render_report(run_experiment(cfg, threads=1), "csv")
-    threaded = render_report(run_experiment(cfg, threads=4), "csv")
-    assert serial == threaded
+    first = render_report(run_experiment(cfg), "csv")
+    second = render_report(run_experiment(cfg), "csv")
+    assert first == second
 
 
 def _raise(exc):

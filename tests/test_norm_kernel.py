@@ -180,8 +180,11 @@ def test_stacked_rows_equal_their_single_calls(seed, rows, p, scale, homogeneous
 
 def test_stacked_input_checked():
     b = _ball([W[1]] * 3, 2.0)
-    with pytest.raises(ValueError, match="dimension"):
-        norm_Xp(np.ones((2, 4)), b)
+    for shape in ((2, 4), (0,), (2, 0), (4,), (1, 1, 3), ()):
+        with pytest.raises(ValueError, match="dimension"):
+            norm_Xp(np.ones(shape), b)
+    empty = norm_Xp(np.zeros((0, 3)), b)
+    assert empty.value.shape == (0,) and empty.maximizer.shape == (0, 3)
     for bad in (np.nan, np.inf, -np.inf):
         a = np.ones((2, 3))
         a[1, 2] = bad
