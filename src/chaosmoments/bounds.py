@@ -34,9 +34,9 @@ from .dual_norms import (
     NormResult,
     _ascend,
     _best_start,
-    _boundary_starts,
     _dual_ball_starts,
     _project_dual_ball,
+    _seeded_normals,
     ball,
     norm_Xp,
 )
@@ -117,7 +117,7 @@ def term_T2_supx(A, ballX, restarts=16, seed=0):
         return x, _mixed_norm_value_and_alignment(b, A.q)[0]
 
     u, _, _ = np.linalg.svd(A.entries.reshape(A.n1, -1), full_matrices=False)
-    starts = _boundary_starts(u[:, 0], ballX, restarts, seed)
+    starts = [u[:, 0], *_seeded_normals(A.n1, restarts - 1, seed)]
     return _best_start(starts, lambda x: _ascend(x, step))
 
 
@@ -216,7 +216,7 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
     _, _, vt = np.linalg.svd(M0)
     # positive seed for x keeps the first f-step away from degenerate zeros
     x0 = norm_Xp(np.abs(A.entries).sum(axis=(1, 2)), ballX).maximizer
-    starts = _boundary_starts(vt[0], ballY, restarts, seed)
+    starts = [vt[0], *_seeded_normals(A.n2, restarts - 1, seed)]
     best = _best_start(starts, lambda y: _ascend((x0, y, None), step))
     best.maximizer = np.concatenate(best.maximizer)
     return best

@@ -396,9 +396,9 @@ def ball_membership(x, ball):
 def boundary_scale(directions, ball):
     """Radial factors c with sum hat_N_i(c u_i) = p, vectorized."""
     u = np.atleast_2d(np.asarray(directions, dtype=float))
-    norms = np.abs(u).max(axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero direction has no boundary point")
+    norms = np.abs(u).max(axis=1)  # nan or inf for a non-finite direction
+    if not np.all((norms > 0.0) & (norms < math.inf)):
+        raise ValueError("directions must be finite and nonzero to have a boundary point")
     p = ball.p
     hi = np.full(u.shape[0], (p + 1.0) / norms.min() + 1.0)
     while True:
@@ -471,18 +471,10 @@ def _best_start(starts, climb):
     return best
 
 
-def _boundary_starts(first, ball, restarts, seed):
-    """``first``, then ``restarts - 1`` seeded points on the ball boundary."""
-    starts = [first]
-    for i in range(restarts - 1):
-        u = rngmod.stream(seed, rngmod.RESTART_STREAM + i).standard_normal(ball.dim)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            u[0] = 1.0
-            nrm = 1.0
-        u /= nrm
-        starts.append(u * boundary_scale(u[None, :], ball)[0])
-    return starts
+def _seeded_normals(dim, count, seed):
+    """Restart i's standard normal vector, from stream ``RESTART_STREAM + i``, for i < count.
+    Unscaled: T2, T3, T5 and norm_XYp open with a support-function step, which ignores scale."""
+    return [rngmod.stream(seed, rngmod.RESTART_STREAM + i).standard_normal(dim) for i in range(count)]
 
 
 def _project_dual_ball(f, q_dual):
@@ -495,10 +487,7 @@ def _project_dual_ball(f, q_dual):
 def _dual_ball_starts(m, q_dual, restarts, seed):
     """e_0 ... e_{m-1}, then ``restarts`` seeded normals in the ell_{q_dual} ball."""
     starts = [np.eye(1, m, k)[0] for k in range(m)]
-    for i in range(restarts):
-        f = rngmod.stream(seed, rngmod.RESTART_STREAM + i).standard_normal(m)
-        starts.append(_project_dual_ball(f, q_dual))
-    return starts
+    return starts + [_project_dual_ball(f, q_dual) for f in _seeded_normals(m, restarts, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +517,9 @@ def norm_XYp(A2, ballX, ballY, restarts=16, seed=0):
         y = (yield A2.T @ x, ballY).maximizer
         return (x, y), float(x @ A2 @ y)
 
-    # warm start from the top singular pair, plus seeded ball points
+    # warm start from the top singular pair, plus seeded directions
     _, _, vt = np.linalg.svd(A2)
-    starts = _boundary_starts(vt[0], ballY, restarts, seed)
+    starts = [vt[0], *_seeded_normals(n2, restarts - 1, seed)]
     best = _best_start(starts, lambda y: _ascend((None, y), step))
     best.maximizer = np.concatenate(best.maximizer)
     return best

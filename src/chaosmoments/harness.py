@@ -14,9 +14,7 @@ import csv
 import io
 import json
 import math
-import sys
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from . import rng as rngmod
 from .distributions import EXP_POWER, FAMILIES, GAUSSIAN, make_distribution
 from .dual_norms import ConfigurationError
 from .functionals import CoefficientTensor
-from .montecarlo import McConfig, estimate_moment_decoupled
+from .montecarlo import McConfig, _check_field_types, _checked, estimate_moment_decoupled
 
 ENSEMBLES = (
     "dense-gaussian-coefficients",
@@ -43,28 +41,11 @@ CSV_COLUMNS = [
     *TERMS,
     "lower_total", "upper_total", "ratio_lower", "ratio_upper", "flags",
 ]
-#: how ``read_rows`` converts a column; every other column is a float
+#: the type ``read_rows`` checks a column's cells for; every other column is a float
 _COLUMN_TYPES = {**dict.fromkeys(("n1", "n2", "m", "seed"), int), "ensemble": str, "flags": str}
 
 #: the smallest accepted value of each integer setting; McConfig checks the mc ones
 _MINIMUM = dict(n1=1, n2=1, m=1, instances=1, restarts=1)
-
-
-def _is_number(value):
-    # JSON NaN, Infinity and huge integers parse too; a number must fit a finite float
-    real = isinstance(value, Real) and not isinstance(value, bool)
-    return real and abs(value) <= sys.float_info.max
-
-
-#: ExperimentConfig annotation -> (check of a value, what the value must be)
-_FIELD_TYPES = {
-    int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    float: (_is_number, "a finite number"),
-    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
-            "a list of finite numbers"),
-}
 
 
 @dataclass(frozen=True)
@@ -92,10 +73,7 @@ class ExperimentConfig:
     unit_variance: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            check, kind = _FIELD_TYPES[f.type]
-            if not check(getattr(self, f.name)):
-                raise ConfigurationError(f"{f.name} must be {kind}")
+        _check_field_types(self)
         if self.ensemble not in ENSEMBLES:
             raise ConfigurationError(
                 f"unknown ensemble {self.ensemble!r}; expected one of {ENSEMBLES}"
@@ -355,7 +333,8 @@ def read_rows(path):
         raise ConfigurationError("a report must be a JSON list of row objects")
     rows = []
     for rec in records:
-        values = {c: _COLUMN_TYPES.get(c, float)(rec[c]) for c in CSV_COLUMNS}
+        values = {c: _checked(c, rec[c], _COLUMN_TYPES[c]) if c in _COLUMN_TYPES else float(rec[c])
+                  for c in CSV_COLUMNS}
         terms = {name: values.pop(name) for name in TERMS}
         rows.append(ComparisonRow(terms=terms, **values))
     return rows

@@ -11,14 +11,45 @@ one value column per level, each mean formed as a one-level call forms it.
 """
 
 import math
-from dataclasses import dataclass
-from numbers import Integral
+import sys
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import rng as rngmod
 from .dual_norms import ConfigurationError
 from .functionals import lq_norm
+
+
+def _is_number(value):
+    # JSON NaN, Infinity and huge integers parse too; a number must fit a finite float
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
+#: annotation -> (check of a value, what the value must be)
+_FIELD_TYPES = {
+    int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    float: (_is_number, "a finite number"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+            "a list of finite numbers"),
+}
+
+
+def _checked(name, value, kind):
+    """``value``, if it passes the check of type ``kind``; else ConfigurationError."""
+    if not _FIELD_TYPES[kind][0](value):
+        raise ConfigurationError(f"{name} must be {_FIELD_TYPES[kind][1]}")
+    return value
+
+
+def _check_field_types(config):
+    """Check every field of the dataclass ``config`` against its annotation."""
+    for f in fields(config):
+        _checked(f.name, getattr(config, f.name), f.type)
 
 
 @dataclass(frozen=True)
@@ -29,12 +60,11 @@ class McConfig:
     unit_variance: bool = False
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.batches < 8:
             raise ConfigurationError("batches must be >= 8 for stable batch-means stderr")
         if self.total_samples < self.batches or self.total_samples % self.batches != 0:
             raise ConfigurationError("total_samples must be a positive multiple of batches")
-        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, Integral):
-            raise ConfigurationError(f"seed must be an integer, got {self.master_seed!r}")
         if not 0 <= self.master_seed < 1 << 64:
             raise ConfigurationError(f"seed {self.master_seed} is outside [0, 2^64)")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chaosmoments import bounds
+from chaosmoments import bounds, dual_norms
 from chaosmoments.bounds import (
     HILBERT,
     KIND_TERMS,
@@ -22,7 +22,7 @@ from chaosmoments.bounds import (
     term_T6_operator,
 )
 from chaosmoments.distributions import EXP_POWER, GAUSSIAN, WEIBULL, make_distribution
-from chaosmoments.dual_norms import ConfigurationError, NormResult, ball, norm_Xp
+from chaosmoments.dual_norms import ConfigurationError, NormResult, ball, norm_Xp, norm_XYp
 from chaosmoments.functionals import CoefficientTensor
 from chaosmoments.rng import stream
 
@@ -215,8 +215,9 @@ PINNED_TENSOR = np.array([
     [[0.3, 0.0], [-1.2, 0.7], [0.9, 0.4]],
 ])
 
-# upper-general terms at p = 3, restarts 2, seed 7, as .17g; a refactor of
-# the solvers must leave them alone, since they are reported numbers
+# upper-general terms at p = 3, seed 7, as .17g, keyed (q, r) at restarts 2
+# and (q, r, restarts) otherwise; a refactor of the solvers must leave them
+# alone, since they are reported numbers
 PINNED_TERMS = {
     (2.0, 1.0): {
         "T1": 3.3615472627943221, "T2": 6.371652304547144,
@@ -236,14 +237,37 @@ PINNED_TERMS = {
         "T4c": 7.6133339133123084, "T5": 20.752746727443633,
         "T6": 8.3462566459461343,
     },
+    (2.0, 1.0, 16): {
+        "T1": 3.3615472627943221, "T2": 6.3716523045471485,
+        "T3": 6.7001573744987439, "T4r": 6.6025476534080854,
+        "T4c": 6.7710570433407327, "T5": 15.617147638944575,
+        "T6": 6.1010772576718875,
+    },
 }
 
 
-@pytest.mark.parametrize("q,r", sorted(PINNED_TERMS))
-def test_upper_general_terms_pinned(q, r):
+@pytest.mark.parametrize("case", sorted(PINNED_TERMS), ids=lambda case: "-".join(map(str, case)))
+def test_upper_general_terms_pinned(case):
+    q, r, restarts = (*case, 2)[:3]
     d = make_distribution(EXP_POWER, r)
     A = CoefficientTensor(PINNED_TENSOR, q=q)
-    rep = assemble_bound(A, UPPER_GENERAL, 3.0, d, d, restarts=2, seed=7)
-    assert rep.terms.keys() == PINNED_TERMS[q, r].keys()
-    for name, value in PINNED_TERMS[q, r].items():
+    rep = assemble_bound(A, UPPER_GENERAL, 3.0, d, d, restarts=restarts, seed=7)
+    assert rep.terms.keys() == PINNED_TERMS[case].keys()
+    for name, value in PINNED_TERMS[case].items():
         assert rep.terms[name] == pytest.approx(value, rel=1e-12), name
+
+
+def test_seeded_restarts_need_no_boundary_points(monkeypatch):
+    # every climb starts with a support-function step, which ignores the
+    # scale of its start, so no bound term solves for a boundary point
+    def boundary_scale(*args):
+        raise AssertionError("boundary_scale called")
+
+    monkeypatch.setattr(dual_norms, "boundary_scale", boundary_scale)
+    d = make_distribution(EXP_POWER, 1.0)
+    A = CoefficientTensor(PINNED_TENSOR, q=3.0)
+    rep = assemble_bound(A, UPPER_GENERAL, 3.0, d, d, restarts=4, seed=7)
+    assert all(math.isfinite(v) and v > 0.0 for v in rep.terms.values())
+    b = ball(d, 3.0, 3)
+    res = norm_XYp(PINNED_TENSOR[..., 0], b, b, restarts=4)
+    assert res.value > 0.0 and len(res.start_values) == 4

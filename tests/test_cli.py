@@ -59,13 +59,27 @@ def test_report_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == direct.read_text()
 
 
+#: a well-formed, unflagged report row: integer cells are JSON integers, the rest strings
+_ROW = dict.fromkeys(CSV_COLUMNS, "1") | dict(n1=1, n2=1, m=1, seed=1, flags="")
+
+
+def test_well_formed_report_row_accepted(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps([_ROW]))
+    assert main(["report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1,1,1,1,1,1,1,1,")
+
+
 @pytest.mark.parametrize("text", [
     "[1]",
     '"abc"',
     '{"a": 1}',
     "[{}]",
     json.dumps([dict.fromkeys(CSV_COLUMNS, "1") | {"n1": None}]),
-], ids=["list-of-number", "string", "object", "empty-row", "null-cell"])
+    json.dumps([_ROW | {"n1": 2.5}]),
+    json.dumps([_ROW | {"seed": True}]),
+], ids=["list-of-number", "string", "object", "empty-row", "null-cell", "fractional-n1",
+        "boolean-seed"])
 def test_malformed_report_exit_code(tmp_path, capsys, text):
     report = tmp_path / "report.json"
     report.write_text(text)

@@ -92,6 +92,14 @@ def test_boundary_scale_lands_on_boundary():
     np.testing.assert_allclose(sums, b.p, rtol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_boundary_scale_rejects_nonfinite_directions(bad):
+    # a NaN never reaches the level p that the bracket search waits for,
+    # and an infinite coordinate has no finite boundary point
+    with pytest.raises(ValueError, match="finite"):
+        boundary_scale(np.array([[bad, 1.0]]), ball(W2, 2.0, 2))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     a=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),

@@ -216,6 +216,17 @@ def test_master_seed_must_be_an_integer_in_range(seed):
         McConfig(master_seed=seed)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("total_samples", 4000.0),
+    ("batches", 8.0),
+    ("unit_variance", "no"),
+    ("unit_variance", 1),
+])
+def test_field_types_checked_from_annotations(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be"):
+        McConfig(**{"total_samples": 4000, "batches": 8, field: value})
+
+
 def test_master_seed_extremes_accepted():
     for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1)):
         cfg = McConfig(total_samples=80, batches=8, master_seed=seed)
