@@ -65,12 +65,6 @@ def _load_config(args):
     return cfg
 
 
-def _threads(args):
-    """Check ``--threads``, kept for old command lines; it has no effect."""
-    if args.threads < 1:
-        raise ConfigurationError("threads must be >= 1")
-
-
 def _emit(text, args):
     if args.out:
         try:
@@ -84,7 +78,6 @@ def _emit(text, args):
 
 def _run_rows(args, deterministic, simulate):
     cfg = _load_config(args)
-    _threads(args)
     rows = harness.run_experiment(cfg, deterministic=deterministic, simulate=simulate)
     _emit(harness.render_report(rows, args.format), args)
     return 1 if any(row.flags for row in rows) else 0
@@ -139,6 +132,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:  # kept for old command lines; it has no effect
+            raise ConfigurationError("threads must be >= 1")
         if args.command == "bound":
             return _run_rows(args, deterministic=True, simulate=False)
         if args.command == "simulate":

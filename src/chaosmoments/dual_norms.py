@@ -355,12 +355,11 @@ def norm_Xp_dual(a, ball):
                 total += v
         return total
 
+    # for lam >= max|a_i| every conjugate is quadratic (a strict tail needs
+    # a_i / lam > N'(1) >= 1), so the dual is lam p + |a|^2 / (4 lam), which
+    # does not decrease past |a| / (2 sqrt(p)): hi brackets the minimizer
     lo = max(lam_min, 1e-12)
-    hi = max(lo * 2.0, mags.max())
-    while objective(hi * 2.0) < objective(hi):
-        hi *= 2.0
-        if hi > 1e18:
-            break
+    hi = max(lo * 2.0, mags.max(), np.linalg.norm(mags) / (2.0 * math.sqrt(p)))
     # golden-section on the convex 1-D dual
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
@@ -394,24 +393,26 @@ def ball_membership(x, ball):
 
 
 def boundary_scale(directions, ball):
-    """Radial factors c with sum hat_N_i(c u_i) = p, vectorized."""
+    """Radial factors c with sum hat_N_i(c u_i) <= p < the sum at the next float.
+
+    That c is the largest float inside wherever the sum is monotone in c, as
+    for Weibull laws.  N is convex with N(1) = 1, so N(t) >= t past the knee:
+    at 2p / max|u_i| the largest coordinate alone spends more than p.
+    Bisection from there stops once every row's midpoint rounds to an end of
+    its bracket.
+    """
     u = np.atleast_2d(np.asarray(directions, dtype=float))
-    norms = np.abs(u).max(axis=1)  # nan or inf for a non-finite direction
-    if not np.all((norms > 0.0) & (norms < math.inf)):
-        raise ValueError("directions must be finite and nonzero to have a boundary point")
     p = ball.p
-    hi = np.full(u.shape[0], (p + 1.0) / norms.min() + 1.0)
-    while True:
-        vals = ball.hat_N_sum(u * hi[:, None])
-        if np.all(vals >= p):
-            break
-        hi = np.where(vals < p, hi * 2.0, hi)
-    lo = np.zeros_like(hi)
-    for _ in range(80):
+    with np.errstate(divide="ignore", over="ignore"):
+        # 0 or nan for a non-finite direction, inf for a zero or tiny one
+        hi = 2.0 * p / np.abs(u).max(axis=1)
+    if not np.all((hi > 0.0) & (hi < math.inf)):
+        raise ValueError("directions need finite coordinates and a finite 2p / max|u_i| to have a boundary point")
+    lo, mid = np.zeros(len(u)), 0.5 * hi
+    while np.any((lo < mid) & (mid < hi)):
+        inside = ball.hat_N_sum(u * mid[:, None]) <= p
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
         mid = 0.5 * (lo + hi)
-        vals = ball.hat_N_sum(u * mid[:, None])
-        lo = np.where(vals <= p, mid, lo)
-        hi = np.where(vals > p, mid, hi)
     return lo
 
 

@@ -241,7 +241,7 @@ def _run_point(cfg, A, r, p, dists, mc, deterministic=True):
     else:
         ratio_lower = math.nan
         ratio_upper = math.nan
-        if mc is not None:
+        if mc is not None and not isinstance(mc, str):  # an estimate came back
             flags.append("degenerate-mc")
 
     return ComparisonRow(

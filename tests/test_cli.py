@@ -161,3 +161,15 @@ def test_hilbert_is_an_unknown_ensemble(tmp_path, capsys):
     doc = dict(SMALL, ensemble="hilbert")
     assert main(["--config", _write_config(tmp_path, doc), "bound"]) == 2
     assert "unknown ensemble 'hilbert'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate", "verify", "gk", "report"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_checked_for_every_command(tmp_path, capsys, command, threads):
+    cfg = _write_config(tmp_path)
+    report = tmp_path / "rows.json"
+    assert main(["--config", cfg, "--format", "json", "--out", str(report), "bound"]) == 0
+    target = [str(report)] if command == "report" else []
+    assert main(["--config", cfg, "--threads", "1", "--out", str(tmp_path / "x"), command, *target]) == 0
+    assert main(["--config", cfg, "--threads", threads, command, *target]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err

@@ -90,6 +90,16 @@ def test_boundary_scale_lands_on_boundary():
     pts = dirs * boundary_scale(dirs, b)[:, None]
     sums = np.array([b.hat_N_sum(x) for x in pts])
     np.testing.assert_allclose(sums, b.p, rtol=1e-10)
+    # c is the largest float on or inside the boundary.  A one-hot direction
+    # on r = 1 (or r = 2 at p = 1) spends exactly p at c = p / max|u_i|, so
+    # that c must come back, not the float below it, also in a call of
+    # one-hot rows alone
+    dirs = np.vstack([np.eye(3), stream(5, 0).standard_normal((30, 3))])
+    for r, p, u in itertools.product([1.0, 1.5, 2.0, 3.0], [1.0, 2.0, 3.5], [dirs[:3], dirs]):
+        b = ball(make_distribution(WEIBULL, r), p, 3)
+        c = boundary_scale(u, b)
+        assert np.all(b.hat_N_sum(u * c[:, None]) <= p)
+        assert np.all(b.hat_N_sum(u * np.nextafter(c, math.inf)[:, None]) > p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -98,6 +108,13 @@ def test_boundary_scale_rejects_nonfinite_directions(bad):
     # and an infinite coordinate has no finite boundary point
     with pytest.raises(ValueError, match="finite"):
         boundary_scale(np.array([[bad, 1.0]]), ball(W2, 2.0, 2))
+
+
+@pytest.mark.parametrize("tiny", [0.0, 1e-310])
+def test_boundary_scale_rejects_directions_without_a_finite_bracket(tiny):
+    # 2p / max|u_i| overflows, so no float c can reach the boundary
+    with pytest.raises(ValueError, match="finite 2p"):
+        boundary_scale(np.array([[1.0, 1.0], [tiny, 0.0]]), ball(W2, 2.0, 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,11 +175,14 @@ def test_scaling_in_p(u, dist):
 @pytest.mark.parametrize("dist", [W2, W3])
 def test_duality_gap_convex_case(dist):
     # the relaxation is tight when the ball is convex, i.e. N'(1) >= 2
+    # (ones(6) at p = 1 puts the dual's minimizer past twice max|a_i|)
     gen = stream(17, 0)
-    for _ in range(15):
-        n = int(gen.integers(1, 4))
-        p = float(gen.uniform(1.0, 8.0))
-        a = gen.standard_normal(n)
+    cases = [(np.ones(6), 1.0)] + [
+        (gen.standard_normal(int(gen.integers(1, 13))), float(gen.uniform(1.0, 8.0)))
+        for _ in range(20)
+    ]
+    for a, p in cases:
+        n = a.size
         primal = norm_Xp(a, ball(dist, p, n)).value
         dual = float(norm_Xp_dual(a, ball(dist, p, n)))
         assert dual >= primal - 1e-9

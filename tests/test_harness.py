@@ -231,6 +231,8 @@ def test_only_numerical_failures_become_flags(monkeypatch, target, flag):
     monkeypatch.setattr(target, _raise(np.linalg.LinAlgError("singular")))
     (row,) = run_experiment(cfg)
     assert flag in row.flags.split(";")
+    # a failed Monte Carlo gave no estimate, so none can be degenerate
+    assert "degenerate-mc" not in row.flags.split(";")
     # a programming error is not a row flag: it propagates
     monkeypatch.setattr(target, _raise(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
