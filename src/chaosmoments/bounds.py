@@ -31,7 +31,6 @@ import numpy as np
 
 from .dual_norms import (
     ConfigurationError,
-    NormResult,
     _ascend,
     _best_start,
     _dual_ball_starts,
@@ -88,8 +87,6 @@ def _mixed_norm_value_and_alignment(b, q):
     u = np.linalg.norm(b, axis=0)
     value = float(lq_norm(u, q))
     w = np.zeros_like(b)
-    if value == 0.0:
-        return 0.0, w
     coeff = lq_align(u, q)  # >= 0 since u >= 0
     nz = u > 0.0
     w[:, nz] = b[:, nz] * (coeff[nz] / u[nz])
@@ -105,8 +102,6 @@ def term_T2_supx(A, ballX, restarts=16, seed=0):
     """
     if ballX.dim != A.n1:
         raise ValueError("X ball must have one coordinate per first index")
-    if not A.entries.any():
-        return NormResult(0.0, np.zeros(A.n1), True, 0)
 
     def step(x):
         b = np.einsum("ijk,i->jk", A.entries, x)
@@ -144,10 +139,7 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
         raise ValueError("side must be 'rows' or 'columns'")
     if ball.dim != T.n1:
         raise ValueError("ball dimension must match the outer index")
-    if not T.entries.any():
-        return NormResult(0.0, np.zeros(T.m), True, 0)
 
-    m = T.m
     q_dual = T.q_dual
     slices = T.entries  # (n, n2, m)
 
@@ -163,11 +155,7 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
         for it in range(100):
             img = slices @ f  # (n, n2)
             nz = v > 0.0
-            grad = np.zeros(m)
-            if nz.any():
-                grad = np.einsum(
-                    "i,ij,ijk->k", xw[nz] / v[nz], img[nz], slices[nz]
-                )
+            grad = np.einsum("i,ij,ijk->k", xw[nz] / v[nz], img[nz], slices[nz])
             gnorm = np.linalg.norm(grad)
             if gnorm == 0.0:
                 break
@@ -188,7 +176,7 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
     # No -e_k starts: the objective is even, and every step (matmul, norm,
     # subgradient, projection) is exactly sign-symmetric in floating point,
     # so the climb from -e_k is the negation of the one from e_k and ties it.
-    return _best_start(_dual_ball_starts(m, q_dual, restarts, seed), climb)
+    return _best_start(_dual_ball_starts(T.m, q_dual, restarts, seed), climb)
 
 
 def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
@@ -199,8 +187,6 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
     """
     if ballX.dim != A.n1 or ballY.dim != A.n2:
         raise ValueError("ball dimensions must match the tensor")
-    if not A.entries.any():
-        return NormResult(0.0, np.zeros(A.n1 + A.n2 + A.m), True, 0)
 
     def step(state):
         x, y, _ = state

@@ -83,36 +83,26 @@ def _run_rows(args, deterministic, simulate):
     return 1 if any(row.flags for row in rows) else 0
 
 
+#: the columns of a ``gk`` report, in order
+_GK_COLUMNS = ["family", "r", "p", "n", "seed", "value", "stderr", "flags"]
+
+
 def _run_gk(args):
     cfg = _load_config(args)
     mc = cfg.mc_config()
     records = []
-    flagged = False
     for r in cfg.r_grid:
         family = cfg.family_x
         dist = make_distribution(family, 2.0 if family == GAUSSIAN else r)
         coeffs = np.ones(cfg.n1) / math.sqrt(cfg.n1)
         for p, est in zip(cfg.p_grid, gk_moment(coeffs, dist, cfg.p_grid, mc)):
-            flagged = flagged or est.warning is not None
-            records.append({
-                "family": family, "r": r, "p": p, "n": cfg.n1,
-                "seed": cfg.seed,
-                "value": format(est.value, ".17g"),
-                "stderr": format(est.stderr, ".17g"),
-                "flags": "mc-unreliable" if est.warning else "",
-            })
-    if args.format == "json":
-        text = json.dumps(records, indent=2) + "\n"
-    else:
-        lines = ["family,r,p,n,seed,value,stderr,flags"]
-        for rec in records:
-            lines.append(
-                f"{rec['family']},{rec['r']},{rec['p']},{rec['n']},"
-                f"{rec['seed']},{rec['value']},{rec['stderr']},{rec['flags']}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args)
-    return 1 if flagged else 0
+            records.append(dict(zip(_GK_COLUMNS, (
+                family, r, p, cfg.n1, cfg.seed,
+                format(est.value, ".17g"), format(est.stderr, ".17g"),
+                "mc-unreliable" if est.warning else "",
+            ))))
+    _emit(harness._render_records(records, _GK_COLUMNS, args.format), args)
+    return 1 if any(rec["flags"] for rec in records) else 0
 
 
 def _run_report(args):

@@ -80,11 +80,7 @@ class TailDistribution:
         t = np.asarray(t, dtype=float)
         if self.family == EXP_POWER:
             u = (t * self.scale) ** self.r
-            log_f = (
-                math.log(self.r * self.scale)
-                - u
-                - math.lgamma(1.0 / self.r)
-            )
+            log_f = self.log_abs_density(t)
             a = 1.0 / self.r
             with np.errstate(divide="ignore"):
                 log_q = np.log(special.gammaincc(a, u))

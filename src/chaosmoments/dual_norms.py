@@ -510,8 +510,6 @@ def norm_XYp(A2, ballX, ballY, restarts=16, seed=0):
         raise ValueError("ball dimensions do not match the matrix")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if not A2.any():
-        return NormResult(0.0, np.zeros(n1 + n2), True, 0)
 
     def step(state):
         x = (yield A2 @ state[1], ballX).maximizer

@@ -78,16 +78,14 @@ def lq_norm(c, q, axis=-1):
 def lq_align(c, q):
     """Unit-dual-ball vector t maximizing <c, t>; sup equals lq_norm(c, q).
 
-    For q = 1 the dual ball is the cube and the maximizer is the sign
-    pattern of c.
+    For q = 1 the dual ball is the cube and the formula gives the sign
+    pattern of c, since x ** 0.0 is 1.0 even at x = 0.
     """
     c = np.asarray(c, dtype=float)
     if not c.any():
         t = np.zeros_like(c)
         t.flat[0] = 1.0
         return t
-    if q == 1.0:
-        return np.sign(c)
     nrm = lq_norm(c, q)
     return np.sign(c) * (np.abs(c) / nrm) ** (q - 1.0)
 

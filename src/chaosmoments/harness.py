@@ -295,25 +295,24 @@ def _row_record(row):
     return {c: row.terms.get(c, math.nan) if c in TERMS else getattr(row, c) for c in CSV_COLUMNS}
 
 
-def render_report(rows, fmt):
-    """Serialize rows to a CSV or JSON string (17 significant digits)."""
+def _render_records(records, columns, fmt):
+    """Serialize dict records to CSV (a header, then ``columns`` in order) or JSON."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            rec = _row_record(row)
-            writer.writerow([_fmt(rec[c]) for c in CSV_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows([rec[c] for c in columns] for rec in records)
         return buf.getvalue()
     if fmt == "json":
-        records = []
-        for row in rows:
-            rec = _row_record(row)
-            records.append(
-                {k: (_fmt(v) if isinstance(v, float) else v) for k, v in rec.items()}
-            )
         return json.dumps(records, indent=2) + "\n"
     raise ConfigurationError(f"unknown report format {fmt!r}")
+
+
+def render_report(rows, fmt):
+    """Serialize rows to a CSV or JSON string (17 significant digits)."""
+    records = [{c: _fmt(v) if isinstance(v, float) else v for c, v in _row_record(row).items()}
+               for row in rows]
+    return _render_records(records, CSV_COLUMNS, fmt)
 
 
 def write_report(rows, fmt, path):
@@ -325,6 +324,13 @@ def write_report(rows, fmt, path):
         raise IOError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _float_cell(name, value):
+    """A float cell: the writer stores a string; a number passes too, a boolean does not."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a number, not a boolean")
+    return float(value)
+
+
 def read_rows(path):
     """Load rows from a JSON report for re-serialization."""
     with open(path) as fh:
@@ -333,8 +339,8 @@ def read_rows(path):
         raise ConfigurationError("a report must be a JSON list of row objects")
     rows = []
     for rec in records:
-        values = {c: _checked(c, rec[c], _COLUMN_TYPES[c]) if c in _COLUMN_TYPES else float(rec[c])
-                  for c in CSV_COLUMNS}
+        values = {c: _checked(c, rec[c], _COLUMN_TYPES[c]) if c in _COLUMN_TYPES
+                  else _float_cell(c, rec[c]) for c in CSV_COLUMNS}
         terms = {name: values.pop(name) for name in TERMS}
         rows.append(ComparisonRow(terms=terms, **values))
     return rows

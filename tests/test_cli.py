@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,21 @@ def test_gk_subcommand(tmp_path, capsys):
     assert out.splitlines()[0] == "family,r,p,n,seed,value,stderr,flags"
 
 
+#: sha256 of ``gk --seed 3`` on the simulate-exppower benchmark config, per format
+_GK_DIGESTS = {
+    "csv": "37ae0cbfb9bbc3f63f84f50aad88ac08e92d722633a1b6c3c2b38b56f28dcb55",
+    "json": "9200969c9b3c69fd70cd124878dcee573dd91d378a45d3c4545802765312d317",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_GK_DIGESTS))
+def test_gk_report_pinned(tmp_path, fmt):
+    cfg = Path(__file__).parents[1] / "perfbench" / "workloads" / "simulate-exppower.json"
+    out = tmp_path / f"gk.{fmt}"
+    assert main(["gk", "--config", str(cfg), "--seed", "3", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GK_DIGESTS[fmt]
+
+
 def test_report_round_trip(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out_json = tmp_path / "rows.json"
@@ -78,8 +95,10 @@ def test_well_formed_report_row_accepted(tmp_path, capsys):
     json.dumps([dict.fromkeys(CSV_COLUMNS, "1") | {"n1": None}]),
     json.dumps([_ROW | {"n1": 2.5}]),
     json.dumps([_ROW | {"seed": True}]),
+    json.dumps([_ROW | {"mc_lhs": True}]),
+    json.dumps([_ROW | {"T2": False}]),
 ], ids=["list-of-number", "string", "object", "empty-row", "null-cell", "fractional-n1",
-        "boolean-seed"])
+        "boolean-seed", "boolean-mc-lhs", "boolean-term"])
 def test_malformed_report_exit_code(tmp_path, capsys, text):
     report = tmp_path / "report.json"
     report.write_text(text)

@@ -15,6 +15,8 @@ from chaosmoments.montecarlo import (
     estimate_moment_decoupled,
     estimate_moment_undecoupled,
     gk_moment,
+    mc_beta,
+    mc_expected_sup,
 )
 
 W1 = make_distribution(WEIBULL, 1.0)
@@ -44,7 +46,7 @@ def test_batched_mean_power_root():
     zero = _batched_mean(cfg, lambda gen, size: np.zeros(size), p=3.0)
     assert (zero.value, zero.stderr) == (0.0, 0.0)
     assert _batched_mean(cfg, fn, p=5.0).warning is not None  # ln(8000)/2 ~ 4.5
-    assert _batched_mean(cfg, None, p=5.0) == McEstimate(0.0, 0.0, 8_000, 9)  # all-zero input
+    assert _batched_mean(cfg, lambda gen, size: np.zeros(size), p=5.0) == McEstimate(0.0, 0.0, 8_000, 9)
 
 
 def test_batched_mean_deterministic():
@@ -231,3 +233,27 @@ def test_master_seed_extremes_accepted():
     for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1)):
         cfg = McConfig(total_samples=80, batches=8, master_seed=seed)
         assert gk_moment(np.ones(2), G, 2.0, cfg).seed == seed
+
+
+_ZERO = CoefficientTensor(np.zeros((3, 2, 2)))
+_ZERO_CFG = McConfig(total_samples=4000, batches=8, master_seed=11, unit_variance=True)
+
+
+@pytest.mark.parametrize("estimates", [
+    lambda: estimate_moment_decoupled(_ZERO, W1, G, [(2.0, 2.0), (2.0, 7.0)], _ZERO_CFG),
+    lambda: [estimate_moment_undecoupled(np.zeros((3, 3)), W1, p, _ZERO_CFG) for p in (2.0, 7.0)],
+    lambda: [estimate_E_norm_fixed_x(_ZERO, np.ones(3), G, _ZERO_CFG)],
+    lambda: gk_moment(np.zeros(3), W1, [2.0, 7.0], _ZERO_CFG),
+    lambda: [mc_expected_sup(np.zeros((2, 3)), "gaussian-product", _ZERO_CFG)],
+    lambda: [mc_beta(_ZERO, np.ones(2), _ZERO_CFG)],
+], ids=["decoupled", "undecoupled", "fixed-x", "gk", "expected-sup", "beta"])
+def test_zero_input_takes_the_general_path(estimates):
+    # a zero estimate is exact, so it carries no heavy-tail warning, even at
+    # p = 7, past ln(4000)/2 ~ 4.1
+    for est in estimates():
+        assert est == McEstimate(0.0, 0.0, 4000, 11, warning=None)
+
+
+def test_zero_input_still_checks_the_law():
+    with pytest.raises(ValueError, match="unknown law"):
+        mc_expected_sup(np.zeros((2, 3)), "bogus", _ZERO_CFG)
