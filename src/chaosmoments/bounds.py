@@ -9,19 +9,18 @@ Each two-sided moment estimate is a sum of named nonnegative terms:
 * T5 -- dual-functional supremum of the bilinear ball norm,
 * T6 -- the level-p multiple of the worst slice operator norm.
 
-The suprema T2-T6 are computed by alternating exact partial maximizations
-with deterministic multi-start, so every reported value is a certified
-lower bound of the corresponding supremum.  Each returns a ``NormResult``,
-whose convergence, winning start and spread over starts go into the report
-diagnostics.  The terms share the multi-start core of ``dual_norms``: each
-supplies a climb that yields every vector it needs ``norm_Xp`` of, and
-``_best_start`` runs the climbs from all starts in lockstep, one stacked
-``norm_Xp`` call per ball a round, and keeps the best; T6 runs one
-``_best_start`` over every (slice, direction) pair.  ``_ascend`` runs the
-climbs of T2, T3, T5 and T6 to a stall; T4 still takes projected
-subgradient steps of its own.  No multiplicative constants are baked in:
-totals are plain sums and constant calibration happens in the experiment
-harness.
+The suprema T2-T6 are deterministic multi-start climbs of alternating
+exact partial maximizations, so every reported value is a certified lower
+bound of its supremum.  A private builder per term returns its starts and
+a climb that yields each vector it needs ``norm_Xp`` of.  ``assemble_bound``
+runs the problems of all its terms through one ``_best_starts``: every
+start of every term climbs in lockstep, one stacked ``norm_Xp`` call per
+ball a round.  A ``term_*`` function is ``_best_start`` of its one problem.
+Convergence, winning start, spread over starts and ``norm_Xp`` rows go
+into the report diagnostics.  T4 takes projected subgradient steps of its
+own; the other climbs run ``_ascend`` to a stall.  No multiplicative
+constants are baked in: totals are plain sums and constant calibration
+happens in the experiment harness.
 """
 
 import math
@@ -33,6 +32,7 @@ from .dual_norms import (
     ConfigurationError,
     _ascend,
     _best_start,
+    _best_starts,
     _dual_ball_starts,
     _project_dual_ball,
     _seeded_normals,
@@ -100,6 +100,11 @@ def term_T2_supx(A, ballX, restarts=16, seed=0):
     exact support-function step in the X-ball; monotone ascent from each
     start, best value kept.
     """
+    return _best_start(*_T2_problem(A, ballX, restarts, seed))
+
+
+def _T2_problem(A, ballX, restarts, seed):
+    """(starts, climb) of ``term_T2_supx``; T3 is the problem of the transpose."""
     if ballX.dim != A.n1:
         raise ValueError("X ball must have one coordinate per first index")
 
@@ -112,8 +117,7 @@ def term_T2_supx(A, ballX, restarts=16, seed=0):
         return x, _mixed_norm_value_and_alignment(b, A.q)[0]
 
     u, _, _ = np.linalg.svd(A.entries.reshape(A.n1, -1), full_matrices=False)
-    starts = [u[:, 0], *_seeded_normals(A.n1, restarts - 1, seed)]
-    return _best_start(starts, lambda x: _ascend(x, step))
+    return [u[:, 0], *_seeded_normals(A.n1, restarts - 1, seed)], lambda x: _ascend(x, step)
 
 
 def term_T3_supy(A, ballY, restarts=16, seed=0):
@@ -131,12 +135,14 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
     lower bound.  A climb that stops on its 100-step cap, rather than on a
     stall or a zero subgradient, is reported as not converged.
     """
-    if side == "rows":
-        T = A
-    elif side == "columns":
-        T = A.transposed()
-    else:
+    return _best_start(*_T4_problem(A, ball, side, restarts, seed))
+
+
+def _T4_problem(A, ball, side, restarts, seed):
+    """(starts, climb) of ``term_T4_sup_f_column``."""
+    if side not in ("rows", "columns"):
         raise ValueError("side must be 'rows' or 'columns'")
+    T = A if side == "rows" else A.transposed()
     if ball.dim != T.n1:
         raise ValueError("ball dimension must match the outer index")
 
@@ -176,7 +182,7 @@ def term_T4_sup_f_column(A, ball, side="rows", restarts=16, seed=0):
     # No -e_k starts: the objective is even, and every step (matmul, norm,
     # subgradient, projection) is exactly sign-symmetric in floating point,
     # so the climb from -e_k is the negation of the one from e_k and ties it.
-    return _best_start(_dual_ball_starts(T.m, q_dual, restarts, seed), climb)
+    return _dual_ball_starts(T.m, q_dual, restarts, seed), climb
 
 
 def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
@@ -185,6 +191,11 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
     Three-way alternation: the f-step is the closed-form ell_q duality
     alignment, the x- and y-steps are exact support-function solves.
     """
+    return _best_start(*_T5_problem(A, ballX, ballY, restarts, seed))
+
+
+def _T5_problem(A, ballX, ballY, restarts, seed):
+    """(starts, climb) of ``term_T5_sup_f_xyp``; the maximizer is (x, y, f) joined."""
     if ballX.dim != A.n1 or ballY.dim != A.n2:
         raise ValueError("ball dimensions must match the tensor")
 
@@ -202,19 +213,26 @@ def term_T5_sup_f_xyp(A, ballX, ballY, restarts=16, seed=0):
     _, _, vt = np.linalg.svd(M0)
     # positive seed for x keeps the first f-step away from degenerate zeros
     x0 = norm_Xp(np.abs(A.entries).sum(axis=(1, 2)), ballX).maximizer
-    starts = [vt[0], *_seeded_normals(A.n2, restarts - 1, seed)]
-    best = _best_start(starts, lambda y: _ascend((x0, y, None), step))
-    best.maximizer = np.concatenate(best.maximizer)
-    return best
+
+    def climb(y):
+        value, state, converged = yield from _ascend((x0, y, None), step)
+        return value, np.concatenate(state), converged
+
+    return [vt[0], *_seeded_normals(A.n2, restarts - 1, seed)], climb
 
 
 def term_T6_operator(A, p, restarts=8, seed=0):
     """p times the worst ell_{q'} -> ell_2 operator norm over slices.
 
-    One ``_best_start`` climbs from every (slice, direction) pair by
+    One multi-start climbs from every (slice, direction) pair by
     alternating alignment; the maximizer is the winning direction t, and
     the start values are scaled by p like the value.
     """
+    return _best_start(*_T6_problem(A, p, restarts, seed))
+
+
+def _T6_problem(A, p, restarts, seed):
+    """(starts, climb) of ``term_T6_operator``; each climb reports p times its value."""
     def climb(start):
         S, t = start
 
@@ -226,13 +244,11 @@ def term_T6_operator(A, p, restarts=8, seed=0):
             t = lq_align(S.T @ (img / nrm), A.q)
             return t, float(np.linalg.norm(S @ t))
 
-        return _ascend(t, step, tol=1e-12)
+        value, t, converged = yield from _ascend(t, step, tol=1e-12)
+        return p * value, t, converged
 
     directions = _dual_ball_starts(A.m, A.q_dual, restarts, seed)
-    best = _best_start([(S, t) for S in A.entries for t in directions], climb)
-    best.value *= p
-    best.start_values = tuple(p * v for v in best.start_values)
-    return best
+    return [(S, t) for S in A.entries for t in directions], climb
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +315,21 @@ def assemble_bound(A, kind, p, distX, distY, restarts=16, seed=0):
                 "the subgaussian bound needs a subgaussian second family (r >= 2)"
             )
 
-    solvers = {
-        "T2": lambda: term_T2_supx(A, ballX, restarts, seed),
-        "T3": lambda: term_T3_supy(A, ballY, restarts, seed),
-        "T4r": lambda: term_T4_sup_f_column(A, ballX, "rows", restarts, seed),
-        "T4c": lambda: term_T4_sup_f_column(A, ballY, "columns", restarts, seed),
-        "T5": lambda: term_T5_sup_f_xyp(A, ballX, ballY, restarts, seed),
-        "T6": lambda: term_T6_operator(A, p, restarts, seed),
+    problems = {
+        "T2": lambda: _T2_problem(A, ballX, restarts, seed),
+        "T3": lambda: _T2_problem(A.transposed(), ballY, restarts, seed),
+        "T4r": lambda: _T4_problem(A, ballX, "rows", restarts, seed),
+        "T4c": lambda: _T4_problem(A, ballY, "columns", restarts, seed),
+        "T5": lambda: _T5_problem(A, ballX, ballY, restarts, seed),
+        "T6": lambda: _T6_problem(A, p, restarts, seed),
     }
     T1 = term_T1_chaos_mean(A)  # the closed form, first term of every kind
     terms = {"T1": T1 if gamma is None else gamma * T1}
     diagnostics = {}
-    for name in KIND_TERMS[kind][1:]:
-        res = solvers[name]()
+    names = KIND_TERMS[kind][1:]
+    for name, res in zip(names, _best_starts([problems[name]() for name in names])):
         terms[name] = res.value
-        diagnostics[name] = {k: getattr(res, k) for k in ("converged", "restarts_used", "winner")}
+        diagnostics[name] = {k: getattr(res, k) for k in ("converged", "restarts_used", "winner", "rows")}
         diagnostics[name]["spread"] = res.value - float(np.median(res.start_values or res.value))
 
     total = float(sum(terms.values()))

@@ -110,6 +110,7 @@ class NormResult:
     restarts_used: int = 0
     winner: int | None = None  # index of the start ``_best_start`` kept
     start_values: tuple = ()  # the value each start of ``_best_start`` reached
+    rows: int = 0  # vectors the climbs of ``_best_start`` sent to norm_Xp
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +424,7 @@ def boundary_scale(directions, ball):
 def _ascend(state, step, tol=_ALT_TOL):
     """Run ``state, value = step(state)`` until the gain stalls.
 
-    A generator climb for ``_best_start``: a step that is a generator passes
+    A generator climb for ``_best_starts``: a step that is a generator passes
     its norm_Xp requests through.  Stops once a step gains at most
     ``tol * max(1, |value|)``; returns (value, state, converged).
     ``converged`` is False when the iteration cap is hit first; every step
@@ -439,37 +440,50 @@ def _ascend(state, step, tol=_ALT_TOL):
 
 
 def _best_start(starts, climb):
-    """Best (value, point, converged) that ``climb`` reaches from a start.
+    """The best result ``climb`` reaches from a start: ``_best_starts`` of one problem."""
+    return _best_starts([(starts, climb)])[0]
+
+
+def _best_starts(problems):
+    """Best (value, point, converged) of each ``(starts, climb)`` problem.
 
     ``climb(start)`` returns that triple, or is a generator that yields each
-    ``(vector, ball)`` it needs norm_Xp of and is sent the NormResult.  The
-    climbs run in lockstep, one stacked norm_Xp call per ball a round.  A
-    tie keeps the earlier start, whose index is ``winner``; ``start_values``
-    lists every start's value.  The value is attained by a feasible point,
-    so it is a certified lower bound of the supremum.
+    ``(vector, ball)`` it needs norm_Xp of and is sent the NormResult.  All
+    climbs of all problems run in lockstep, one stacked norm_Xp call per
+    ball a round; a row does not depend on its stack, so neither does a
+    problem's result.  Per problem, a tie keeps the earlier start (``winner``),
+    ``start_values`` lists every start's value and ``rows`` counts the
+    vectors sent to norm_Xp.  The value is attained by a feasible point, so
+    it is a certified lower bound of the supremum.
     """
-    results = [climb(start) for start in starts]
-    replies = {i: None for i, run in enumerate(results) if inspect.isgenerator(run)}
+    results = [[climb(start) for start in starts] for starts, climb in problems]
+    rows = [0] * len(problems)
+    replies = {(k, i): None for k, runs in enumerate(results)
+               for i, run in enumerate(runs) if inspect.isgenerator(run)}
     while replies:
         asks = {}
-        for i, reply in replies.items():
+        for (k, i), reply in replies.items():
             try:
-                vector, ball = results[i].send(reply)
+                vector, ball = results[k][i].send(reply)
             except StopIteration as done:
-                results[i] = done.value
+                results[k][i] = done.value
             else:
-                asks.setdefault(ball, {})[i] = vector
+                asks.setdefault(ball, {})[k, i] = vector
+                rows[k] += 1
         replies = {}
         for ball, group in asks.items():
             res = norm_Xp(np.array(list(group.values())), ball)
             replies.update(zip(group, map(NormResult, res.value.tolist(), res.maximizer)))
-    best = NormResult(-math.inf, None, False)
-    for index, (value, point, converged) in enumerate(results):
-        if value > best.value:
-            best = NormResult(value, point, converged, winner=index)
-    best.restarts_used = len(starts)
-    best.start_values = tuple(value for value, _, _ in results)
-    return best
+    bests = []
+    for runs, count in zip(results, rows):
+        best = NormResult(-math.inf, None, False)
+        for index, (value, point, converged) in enumerate(runs):
+            if value > best.value:
+                best = NormResult(value, point, converged, winner=index)
+        best.restarts_used, best.rows = len(runs), count
+        best.start_values = tuple(value for value, _, _ in runs)
+        bests.append(best)
+    return bests
 
 
 def _seeded_normals(dim, count, seed):

@@ -283,14 +283,6 @@ def run_experiment(cfg, deterministic=True, simulate=True):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".17g")
-    return str(x)
-
-
 def _row_record(row):
     return {c: row.terms.get(c, math.nan) if c in TERMS else getattr(row, c) for c in CSV_COLUMNS}
 
@@ -310,7 +302,7 @@ def _render_records(records, columns, fmt):
 
 def render_report(rows, fmt):
     """Serialize rows to a CSV or JSON string (17 significant digits)."""
-    records = [{c: _fmt(v) if isinstance(v, float) else v for c, v in _row_record(row).items()}
+    records = [{c: format(v, ".17g") if isinstance(v, float) else v for c, v in _row_record(row).items()}
                for row in rows]
     return _render_records(records, CSV_COLUMNS, fmt)
 
@@ -339,6 +331,8 @@ def read_rows(path):
         raise ConfigurationError("a report must be a JSON list of row objects")
     rows = []
     for rec in records:
+        if unknown := rec.keys() - set(CSV_COLUMNS):
+            raise ConfigurationError(f"unknown report columns: {', '.join(sorted(unknown))}")
         values = {c: _checked(c, rec[c], _COLUMN_TYPES[c]) if c in _COLUMN_TYPES
                   else _float_cell(c, rec[c]) for c in CSV_COLUMNS}
         terms = {name: values.pop(name) for name in TERMS}

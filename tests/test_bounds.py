@@ -22,7 +22,7 @@ from chaosmoments.bounds import (
     term_T6_operator,
 )
 from chaosmoments.distributions import EXP_POWER, GAUSSIAN, WEIBULL, make_distribution
-from chaosmoments.dual_norms import ConfigurationError, NormResult, ball, norm_Xp, norm_XYp
+from chaosmoments.dual_norms import ConfigurationError, ball, norm_Xp, norm_XYp
 from chaosmoments.functionals import CoefficientTensor
 from chaosmoments.rng import stream
 
@@ -200,8 +200,8 @@ def test_diagnostics_name_the_winning_start():
 
 def test_diagnostics_report_the_spread_over_starts(monkeypatch):
     # known start values: the best is 5 and the median 3
-    found = NormResult(5.0, np.zeros(1), True, 4, 2, (1.0, 2.0, 5.0, 4.0))
-    monkeypatch.setattr(bounds, "term_T5_sup_f_xyp", lambda *args: found)
+    problem = ([1.0, 2.0, 5.0, 4.0], lambda v: (v, np.zeros(1), True))
+    monkeypatch.setattr(bounds, "_T5_problem", lambda *args: problem)
     rep = assemble_bound(SCALAR, TWO_SIDED, 2.0, W2, W2)
     assert rep.terms["T5"] == 5.0
     assert rep.diagnostics["T5"]["spread"] == 2.0
@@ -289,3 +289,72 @@ def test_zero_tensor_takes_the_general_path(q, family, r):
     b2, b3 = ball(d, 3.0, 2), ball(d, 3.0, 3)
     res = norm_XYp(np.zeros((2, 3)), b2, b3, restarts=2)
     assert res.value == 0.0 and res.converged
+
+
+def _alone(A, name, p, bx, by, restarts, seed):
+    """The NormResult of term ``name`` from its public function, run on its own."""
+    return {
+        "T2": lambda: term_T2_supx(A, bx, restarts, seed),
+        "T3": lambda: term_T3_supy(A, by, restarts, seed),
+        "T4r": lambda: term_T4_sup_f_column(A, bx, "rows", restarts, seed),
+        "T4c": lambda: term_T4_sup_f_column(A, by, "columns", restarts, seed),
+        "T5": lambda: term_T5_sup_f_xyp(A, bx, by, restarts, seed),
+        "T6": lambda: term_T6_operator(A, p, restarts, seed),
+    }[name]()
+
+
+# one ball for both indices, and two balls of other sizes and laws
+BALL_PAIRS = {
+    "same-ball": ((3, 3, 2), EXP_POWER, EXP_POWER),
+    "weibull-x-exppower-y": ((3, 2, 2), WEIBULL, EXP_POWER),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(BALL_PAIRS))
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+def test_one_lockstep_gives_every_term_its_solo_result(q, r, pair, monkeypatch):
+    # a norm_Xp row does not depend on its stack, so the terms of one
+    # assemble_bound climb together yet match their own calls field for field
+    shape, family_x, family_y = BALL_PAIRS[pair]
+    dx, dy = make_distribution(family_x, r), make_distribution(family_y, r)
+    A = CoefficientTensor(stream(71, 0).standard_normal(shape), q=q)
+    bx, by = ball(dx, 3.0, A.n1), ball(dy, 3.0, A.n2)
+    assert (bx == by) == (pair == "same-ball")
+    driven = []
+    driver = bounds._best_starts
+    monkeypatch.setattr(bounds, "_best_starts",
+                        lambda problems: driven.append(driver(problems)) or driven[-1])
+    for kind in (UPPER_GENERAL, LOWER):
+        driven.clear()
+        rep = assemble_bound(A, kind, 3.0, dx, dy, restarts=3, seed=5)
+        assert len(driven) == 1  # one driver call for all the terms
+        for name, res in zip(KIND_TERMS[kind][1:], driven[0], strict=True):
+            alone = _alone(A, name, 3.0, bx, by, 3, 5)
+            assert rep.terms[name] == res.value == alone.value, (kind, name)
+            assert np.array_equal(res.maximizer, alone.maximizer), (kind, name)
+            for key in ("converged", "restarts_used", "winner", "start_values", "rows"):
+                assert getattr(res, key) == getattr(alone, key), (kind, name, key)
+            assert rep.diagnostics[name]["rows"] == alone.rows, (kind, name)
+            assert (alone.rows > 0) == (name != "T6"), (kind, name)  # T6 needs no norm_Xp
+
+
+def test_terms_on_one_ball_share_their_norm_Xp_calls(monkeypatch):
+    d = make_distribution(EXP_POWER, 2.0)
+    A = CoefficientTensor(PINNED_TENSOR, q=1.5)
+    b = ball(d, 3.0, A.n1)
+    calls = []
+    norm = dual_norms.norm_Xp
+    monkeypatch.setattr(dual_norms, "norm_Xp", lambda a, bl: calls.append(len(a)) or norm(a, bl))
+    alone, solo_calls = {}, {}
+    for name in KIND_TERMS[UPPER_GENERAL][1:]:
+        calls.clear()
+        alone[name] = _alone(A, name, 3.0, b, b, 4, 5)
+        assert sum(calls) == alone[name].rows, name
+        solo_calls[name] = len(calls)
+    calls.clear()
+    rep = assemble_bound(A, UPPER_GENERAL, 3.0, d, d, restarts=4, seed=5)
+    assert sum(calls) == sum(res.rows for res in alone.values())  # the same vectors,
+    assert len(calls) < sum(solo_calls.values())  # in fewer, taller stacks:
+    assert len(calls) == max(solo_calls.values())  # one call a round on the one ball
+    assert rep.terms == {"T1": term_T1_chaos_mean(A)} | {n: res.value for n, res in alone.items()}

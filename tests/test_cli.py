@@ -97,8 +97,9 @@ def test_well_formed_report_row_accepted(tmp_path, capsys):
     json.dumps([_ROW | {"seed": True}]),
     json.dumps([_ROW | {"mc_lhs": True}]),
     json.dumps([_ROW | {"T2": False}]),
+    json.dumps([_ROW | {"bogus": 5}]),
 ], ids=["list-of-number", "string", "object", "empty-row", "null-cell", "fractional-n1",
-        "boolean-seed", "boolean-mc-lhs", "boolean-term"])
+        "boolean-seed", "boolean-mc-lhs", "boolean-term", "unknown-column"])
 def test_malformed_report_exit_code(tmp_path, capsys, text):
     report = tmp_path / "report.json"
     report.write_text(text)

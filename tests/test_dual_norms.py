@@ -14,6 +14,7 @@ from chaosmoments.dual_norms import (
     _ALT_MAX_ITERS,
     _ascend,
     _best_start,
+    _best_starts,
     ball,
     ball_membership,
     boundary_scale,
@@ -434,3 +435,24 @@ def test_best_start_runs_climbs_in_lockstep(monkeypatch):
     assert together.value == alone[winner].value
     assert together.converged == alone[winner].converged
     assert np.array_equal(together.maximizer, alone[winner].maximizer)
+
+
+def test_best_starts_gives_each_problem_its_solo_result(monkeypatch):
+    first = ([(3, np.array([1.0, 0.0])), (1, np.array([0.3, -0.9]))], _two_ball_climb)
+    second = ([(2, np.array([-0.2, 0.4])), (0, np.array([1.0, 1.0])), (3, np.array([0.5, 0.5]))],
+              _two_ball_climb)
+    plain = ([1.0, 3.0, 3.0], lambda s: (s, s, True))  # a climb that needs no norm_Xp
+    calls = []
+    norm = dual_norms.norm_Xp
+    monkeypatch.setattr(dual_norms, "norm_Xp", lambda a, b: calls.append(len(a)) or norm(a, b))
+    alone = [_best_start(*problem) for problem in (first, second, plain)]
+    assert calls == [2, 2, 1, 1, 1, 1] + [2, 2, 2, 2, 1, 1]
+    assert [res.rows for res in alone] == [8, 10, 0]
+    calls.clear()
+    together = _best_starts([first, second, plain])
+    # one stacked call per ball and round, over the climbs of both problems
+    assert calls == [4, 4, 3, 3, 2, 2]
+    for res, solo in zip(together, alone, strict=True):
+        for key in ("value", "converged", "restarts_used", "winner", "start_values", "rows"):
+            assert getattr(res, key) == getattr(solo, key), key
+        assert np.array_equal(res.maximizer, solo.maximizer)
