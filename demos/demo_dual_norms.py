@@ -12,14 +12,20 @@ search.
 import numpy as np
 
 from chaosmoments import WEIBULL, ball, make_distribution, norm_Xp, norm_Xp_dual
-from chaosmoments.dual_norms import boundary_scale
 
 
 def grid_search(a, b, steps=100_000):
     """Best <a, x> over boundary points of a planar ball at evenly spaced angles."""
     theta = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)
     u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return float(np.max(u * boundary_scale(u, b)[:, None] @ a))
+    # bisect each radius: N(t) >= t past the knee, so at 2p / max|u_i| the
+    # largest coordinate alone spends more than the budget p
+    lo, hi = np.zeros(steps), 2.0 * b.p / np.abs(u).max(axis=1)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = b.hat_N_sum(u * mid[:, None]) <= b.p
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return float(np.max(u * lo[:, None] @ a))
 
 
 def main():

@@ -150,16 +150,16 @@ def _T4_problem(A, ball, side, restarts, seed):
     slices = T.entries  # (n, n2, m)
 
     def evaluate(f):
-        v = np.linalg.norm(slices @ f, axis=1)  # per outer index
+        img = slices @ f  # (n, n2)
+        v = np.linalg.norm(img, axis=1)  # per outer index
         res = yield v, ball
-        return res.value, v, np.abs(res.maximizer)
+        return res.value, img, v, np.abs(res.maximizer)
 
     def climb(f):
-        value, v, xw = yield from evaluate(f)
+        value, img, v, xw = yield from evaluate(f)
         best_value, best_f = value, f
         stalled = 0
         for it in range(100):
-            img = slices @ f  # (n, n2)
             nz = v > 0.0
             grad = np.einsum("i,ij,ijk->k", xw[nz] / v[nz], img[nz], slices[nz])
             gnorm = np.linalg.norm(grad)
@@ -167,7 +167,7 @@ def _T4_problem(A, ball, side, restarts, seed):
                 break
             step = 0.5 / math.sqrt(it + 1.0)
             f = _project_dual_ball(f + step * grad / gnorm, q_dual)
-            value, v, xw = yield from evaluate(f)
+            value, img, v, xw = yield from evaluate(f)
             if value > best_value * (1.0 + 1e-9):
                 best_value, best_f = value, f
                 stalled = 0

@@ -50,21 +50,20 @@ class TailDistribution:
 
     def survival(self, t):
         """P(|X| >= t) for t >= 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("survival is defined for t >= 0")
-        if self.family == EXP_POWER:
-            return special.gammaincc(1.0 / self.r, (t * self.scale) ** self.r)
-        return np.exp(-(t ** self.r))
+        return np.exp(-self.tail_N(t))
 
     def tail_N(self, t):
-        """N(t) = -ln P(|X| >= t)."""
+        """N(t) = -ln P(|X| >= t), finite past the underflow of P."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("tail_N is defined for t >= 0")
         if self.family == EXP_POWER:
+            a, u = 1.0 / self.r, (t * self.scale) ** self.r
             with np.errstate(divide="ignore"):
-                return -np.log(self.survival(t))
+                log_q = np.log(special.gammaincc(a, u))
+            # Q(a, u) ~ u^{a-1} e^{-u} / Gamma(a) once gammaincc underflows
+            asym = (a - 1.0) * np.log(np.maximum(u, 1e-300)) - u - math.lgamma(a)
+            return -np.where(np.isfinite(log_q), log_q, asym)
         return t ** self.r
 
     def tail_N_inv(self, b):
@@ -79,15 +78,7 @@ class TailDistribution:
         """Derivative N'(t); nondecreasing by log-concavity."""
         t = np.asarray(t, dtype=float)
         if self.family == EXP_POWER:
-            u = (t * self.scale) ** self.r
-            log_f = self.log_abs_density(t)
-            a = 1.0 / self.r
-            with np.errstate(divide="ignore"):
-                log_q = np.log(special.gammaincc(a, u))
-            # Q(a, u) ~ u^{a-1} e^{-u} / Gamma(a) once gammaincc underflows
-            asym = (a - 1.0) * np.log(np.maximum(u, 1e-300)) - u - math.lgamma(a)
-            log_q = np.where(np.isfinite(log_q), log_q, asym)
-            return np.exp(log_f - log_q)
+            return np.exp(self.log_abs_density(t) + self.tail_N(t))
         return self.r * t ** (self.r - 1.0)
 
     def tail_N_prime_inv(self, v):
@@ -217,8 +208,8 @@ def _exp_power_prime_table(d):
     with the slope dN/dN' of each interpolated piece."""
     x_hi = float(d.tail_N_inv(EXP_POWER_MAX_N))
     xs = np.geomspace(1.0, x_hi, 1 << 16)
-    dns = np.asarray(d.tail_N_prime(xs))
-    ns = np.asarray(d.tail_N(xs))
+    ns = d.tail_N(xs)
+    dns = np.exp(d.log_abs_density(xs) + ns)  # tail_N_prime(xs), one gammaincc pass
     return xs, dns, ns, np.diff(ns) / np.diff(dns)
 
 

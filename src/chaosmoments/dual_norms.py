@@ -381,7 +381,7 @@ def norm_Xp_dual(a, ball):
 
 
 # ---------------------------------------------------------------------------
-# Membership and boundary parameterization
+# Membership
 # ---------------------------------------------------------------------------
 
 def ball_membership(x, ball):
@@ -391,30 +391,6 @@ def ball_membership(x, ball):
         raise ValueError(f"dimension mismatch: {x.shape} != ({ball.dim},)")
     slack = ball.p - float(ball.hat_N_sum(x))
     return slack >= 0.0, slack
-
-
-def boundary_scale(directions, ball):
-    """Radial factors c with sum hat_N_i(c u_i) <= p < the sum at the next float.
-
-    That c is the largest float inside wherever the sum is monotone in c, as
-    for Weibull laws.  N is convex with N(1) = 1, so N(t) >= t past the knee:
-    at 2p / max|u_i| the largest coordinate alone spends more than p.
-    Bisection from there stops once every row's midpoint rounds to an end of
-    its bracket.
-    """
-    u = np.atleast_2d(np.asarray(directions, dtype=float))
-    p = ball.p
-    with np.errstate(divide="ignore", over="ignore"):
-        # 0 or nan for a non-finite direction, inf for a zero or tiny one
-        hi = 2.0 * p / np.abs(u).max(axis=1)
-    if not np.all((hi > 0.0) & (hi < math.inf)):
-        raise ValueError("directions need finite coordinates and a finite 2p / max|u_i| to have a boundary point")
-    lo, mid = np.zeros(len(u)), 0.5 * hi
-    while np.any((lo < mid) & (mid < hi)):
-        inside = ball.hat_N_sum(u * mid[:, None]) <= p
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-        mid = 0.5 * (lo + hi)
-    return lo
 
 
 # ---------------------------------------------------------------------------

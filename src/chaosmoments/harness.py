@@ -70,7 +70,6 @@ class ExperimentConfig:
     seed: int = 12345
     total_samples: int = 200_000
     batches: int = 32
-    unit_variance: bool = False
 
     def __post_init__(self):
         _check_field_types(self)
@@ -102,7 +101,6 @@ class ExperimentConfig:
             total_samples=self.total_samples,
             batches=self.batches,
             master_seed=self.seed,
-            unit_variance=self.unit_variance,
         )
 
 
@@ -133,7 +131,7 @@ _SCHEMA = {
     "dimensions": {"n1": "n1", "n2": "n2", "m": "m"},
     "grids": {"q": "q_grid", "r": "r_grid", "p": "p_grid"},
     "dist": {"family_x": "family_x", "family_y": "family_y"},
-    "mc": {key: key for key in ("total_samples", "batches", "unit_variance")},
+    "mc": {key: key for key in ("total_samples", "batches")},
     "instances": "instances",
     "restarts": "restarts",
     "seed": "seed",

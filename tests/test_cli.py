@@ -147,7 +147,7 @@ def test_simulate_report_identical_across_threads(tmp_path):
 
 @pytest.mark.parametrize("doc", [
     {"grids": {"p": "24"}},
-    {"mc": {"unit_variance": "no"}},
+    {"mc": {"batches": "8"}},
     {"instances": 2.7},
     {"dimensions": {"n1": True}},
     {"grids": {"r": ["2"]}},
@@ -159,6 +159,14 @@ def test_simulate_report_identical_across_threads(tmp_path):
 def test_schema_type_mismatch_exit_code(tmp_path, capsys, doc):
     assert main(["--config", _write_config(tmp_path, dict(SMALL, **doc))]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_unit_variance_is_not_an_experiment_setting(tmp_path, capsys):
+    # the bound terms are those of the unscaled laws, so scaling the draws
+    # alone would compare two different chaoses
+    doc = dict(SMALL, mc={"total_samples": 4000, "batches": 8, "unit_variance": True})
+    assert main(["--config", _write_config(tmp_path, doc)]) == 2
+    assert "mc.unit_variance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])

@@ -1,14 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from chaosmoments.distributions import (
     EXP_POWER,
     GAUSSIAN,
     WEIBULL,
     InvalidShapeError,
+    _exp_power_prime_table,
     make_distribution,
 )
 from chaosmoments.rng import stream
@@ -155,3 +157,54 @@ def test_tail_prime_inverse_round_trip(r):
         t = np.geomspace(1.1, float(d.tail_N_inv(200.0)), 30)
         v = d.tail_N_prime(t)
         np.testing.assert_allclose(d.tail_N_prime_inv(v), t, rtol=1e-4)
+
+
+@pytest.mark.parametrize("r", [3.0, 5.0])
+def test_exp_power_tail_finite_past_underflow(r):
+    # Q(1/r, (t scale)^r) underflows to 0 before t = 30; N follows the
+    # asymptote u - (1/r - 1) log u + lgamma(1/r) of u = (t scale)^r
+    d = make_distribution(EXP_POWER, r)
+    t = np.array([30.0, 40.0])
+    n = d.tail_N(t)
+    assert np.all(np.isfinite(n)) and n[0] < n[1]
+    np.testing.assert_allclose(n, (t * d.scale) ** r, rtol=1e-2)
+
+
+@pytest.mark.parametrize("family", [WEIBULL, EXP_POWER])
+@pytest.mark.parametrize("r", R_GRID)
+def test_survival_and_slope_derive_from_tail_N(family, r):
+    d = make_distribution(family, r)
+    t = np.geomspace(1e-3, 40.0, 2001)
+    n = d.tail_N(t)
+    assert np.array_equal(d.survival(t), np.exp(-n))
+    if family == EXP_POWER:
+        assert np.array_equal(d.tail_N_prime(t), np.exp(d.log_abs_density(t) + n))
+
+
+#: sha256 of the four arrays of ``_exp_power_prime_table``, taken before the
+#: table came from one tail_N pass (numpy 2.4.6, scipy 1.17.1); a change to
+#: the exp-power tail path that moves any entry moves a digest
+TABLE_SHA256 = {
+    1.25: "6c00996c6b62e1a1f187230ae48053c34b37e86a7d54fc8481f4aa1298919ee1",
+    1.5: "c7cdda9aecb01992e1d4d0a03e14dce166dca4ee64b38d38b307023beb27d1cf",
+    2.0: "84c3ea34e3da4fb50f619d9e85d0db91deee914820a455c2652b5f09bd277cc7",
+    3.0: "bd72086311d6259579fdf3927f60881a6ea37fe73ec8084103874cb512c4f26f",
+    5.0: "9fc545e0380ff0b81fb5e2a3c530312bd14bcb69238de31feacd4c320f6d9315",
+}
+
+
+@pytest.mark.parametrize("r", sorted(TABLE_SHA256))
+def test_exp_power_table_pinned(r):
+    digest = hashlib.sha256()
+    for a in _exp_power_prime_table(make_distribution(EXP_POWER, r)):
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert digest.hexdigest() == TABLE_SHA256[r]
+
+
+def test_exp_power_table_fill_is_one_gammaincc_pass(monkeypatch):
+    d = make_distribution(EXP_POWER, 2.0)
+    calls = []
+    gammaincc = special.gammaincc
+    monkeypatch.setattr(special, "gammaincc", lambda a, x: calls.append(np.size(x)) or gammaincc(a, x))
+    xs = _exp_power_prime_table.__wrapped__(d)[0]
+    assert calls == [xs.size]

@@ -17,14 +17,13 @@ from chaosmoments.dual_norms import (
     _best_starts,
     ball,
     ball_membership,
-    boundary_scale,
     conjugate_1d,
     norm_Xp,
     norm_Xp_dual,
     norm_XYp,
 )
 from chaosmoments.rng import stream
-from grid_oracles import _allocate, brute_norm_Xp, brute_norm_XYp
+from grid_oracles import _allocate, boundary_scale, brute_norm_Xp, brute_norm_XYp
 
 W1 = make_distribution(WEIBULL, 1.0)
 W2 = make_distribution(WEIBULL, 2.0)

@@ -76,8 +76,8 @@ def test_invalid_values_rejected():
     ("restarts", 1.5),
     ("instances", 2.5),
     ("n1", True),
-    ("unit_variance", "no"),
-    ("unit_variance", 1),
+    ("batches", "32"),
+    ("total_samples", True),
     ("q_grid", ("2",)),
     ("q_grid", (True,)),
     ("p_grid", "24"),
@@ -106,7 +106,7 @@ _WORKLOAD_DEFAULTS = {
     "q_grid": (2.0,), "r_grid": (1.0, 2.0), "p_grid": (2.0, 4.0),
     "family_x": "exp-power", "family_y": "exp-power",
     "instances": 1, "restarts": 16, "seed": 12345,
-    "total_samples": 200_000, "batches": 32, "unit_variance": False,
+    "total_samples": 200_000, "batches": 32,
 }
 _WORKLOADS = {
     "bound-exppower": dict(
