@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 WEIBULL = "weibull"
 GAUSSIAN = "gaussian"
@@ -32,6 +31,18 @@ _TARGET = math.exp(-1.0)
 #: largest N the exp-power interpolation table reaches; past it
 #: ``tail_N_prime_inv`` and ``tail_N_at_prime`` would clamp
 EXP_POWER_MAX_N = 512.0
+
+
+def _special():
+    """``scipy.special``, imported on first use.
+
+    Only exp-power tails and the Gamma-function moments need it, so a run
+    on Weibull-type laws never loads scipy.  Callers look each function up
+    on the module at the call, so a patched ``scipy.special`` takes effect.
+    """
+    from scipy import special
+
+    return special
 
 
 class InvalidShapeError(ValueError):
@@ -60,7 +71,7 @@ class TailDistribution:
         if self.family == EXP_POWER:
             a, u = 1.0 / self.r, (t * self.scale) ** self.r
             with np.errstate(divide="ignore"):
-                log_q = np.log(special.gammaincc(a, u))
+                log_q = np.log(_special().gammaincc(a, u))
             # Q(a, u) ~ u^{a-1} e^{-u} / Gamma(a) once gammaincc underflows
             asym = (a - 1.0) * np.log(np.maximum(u, 1e-300)) - u - math.lgamma(a)
             return -np.where(np.isfinite(log_q), log_q, asym)
@@ -70,7 +81,7 @@ class TailDistribution:
         """Inverse of the tail function: t with N(t) = b."""
         b = np.asarray(b, dtype=float)
         if self.family == EXP_POWER:
-            u = special.gammainccinv(1.0 / self.r, np.exp(-b))
+            u = _special().gammainccinv(1.0 / self.r, np.exp(-b))
             return u ** (1.0 / self.r) / self.scale
         return b ** (1.0 / self.r)
 
@@ -187,10 +198,11 @@ class TailDistribution:
         """
         if k % 2 == 1:
             return 0.0
+        gamma = _special().gamma
         if self.family == EXP_POWER:
             r = self.r
-            return float(special.gamma((k + 1.0) / r) / (special.gamma(1.0 / r) * self.scale ** k))
-        return float(special.gamma(1.0 + k / self.r))
+            return float(gamma((k + 1.0) / r) / (gamma(1.0 / r) * self.scale ** k))
+        return float(gamma(1.0 + k / self.r))
 
     @functools.cached_property
     def variance(self):
@@ -229,9 +241,11 @@ def make_distribution(family, r=None):
         return TailDistribution(WEIBULL, r, 1.0)
     if family == EXP_POWER:
         # Q(1/r, scale^r) = e^-1 at t = 1
-        scale = float(special.gammainccinv(1.0 / r, _TARGET) ** (1.0 / r))
+        scale = float(_special().gammainccinv(1.0 / r, _TARGET) ** (1.0 / r))
         d = TailDistribution(EXP_POWER, r, scale)
-        assert abs(float(d.survival(1.0)) - _TARGET) < 1e-10
+        at_one = float(d.survival(1.0))
+        if not abs(at_one - _TARGET) < 1e-10:
+            raise RuntimeError(f"exp-power r = {r}: survival at 1 is {at_one!r}, not e^-1")
         return d
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 

@@ -79,13 +79,18 @@ def lq_align(c, q):
     """Unit-dual-ball vector t maximizing <c, t>; sup equals lq_norm(c, q).
 
     For q = 1 the dual ball is the cube and the formula gives the sign
-    pattern of c, since x ** 0.0 is 1.0 even at x = 0.
+    pattern of c, since x ** 0.0 is 1.0 even at x = 0.  With one nonzero
+    entry the answer is its sign: the formula's (|c_k| / norm) ** (q - 1)
+    can round above 1 and leave the ball.
     """
     c = np.asarray(c, dtype=float)
-    if not c.any():
+    nonzero = np.count_nonzero(c)
+    if nonzero == 0:
         t = np.zeros_like(c)
         t.flat[0] = 1.0
         return t
+    if nonzero == 1:
+        return np.sign(c)
     nrm = lq_norm(c, q)
     return np.sign(c) * (np.abs(c) / nrm) ** (q - 1.0)
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,25 @@ def test_gk_report_pinned(tmp_path, fmt):
     out = tmp_path / f"gk.{fmt}"
     assert main(["gk", "--config", str(cfg), "--seed", "3", "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GK_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("command", ["verify", "bound", "simulate"])
+def test_weibull_gaussian_run_loads_no_scipy(tmp_path, command):
+    doc = dict(SMALL, grids={"q": [1.5], "r": [1, 2], "p": [2]},
+               dist={"family_x": "weibull", "family_y": "gaussian"})
+    argv = [command, "--config", _write_config(tmp_path, doc), "--seed", "3"]
+    fresh, in_process = tmp_path / "fresh.csv", tmp_path / "in_process.csv"
+    code = (
+        "import sys; from chaosmoments.cli import main; "
+        f"code = main({argv + ['--out', str(fresh)]!r}); "
+        "print(code, [m for m in sys.modules if m.startswith('scipy')])"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] in ("0 []", "1 []")
+    assert main(argv + ["--out", str(in_process)]) in (0, 1)
+    assert fresh.read_bytes() == in_process.read_bytes()
 
 
 def test_report_round_trip(tmp_path, capsys):

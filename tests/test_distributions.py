@@ -10,6 +10,7 @@ from chaosmoments.distributions import (
     GAUSSIAN,
     WEIBULL,
     InvalidShapeError,
+    TailDistribution,
     _exp_power_prime_table,
     make_distribution,
 )
@@ -133,6 +134,12 @@ def test_exp_power_r1_equals_weibull_r1():
 def test_invalid_shape_rejected(r):
     with pytest.raises(InvalidShapeError):
         make_distribution(WEIBULL, r)
+
+
+def test_exp_power_normalization_failure_raises(monkeypatch):
+    monkeypatch.setattr(TailDistribution, "survival", lambda self, t: np.float64(0.5))
+    with pytest.raises(RuntimeError, match="not e\\^-1"):
+        make_distribution(EXP_POWER, 2.0)
 
 
 def test_unknown_family_rejected():

@@ -119,16 +119,24 @@ def test_norm_homogeneous_at_extreme_magnitudes(laws, p, scale):
     assert norm_Xp(scale * np.array(A3), b).value == pytest.approx(scale * base, rel=1e-12, abs=0.0)
 
 
-def test_import_loads_no_root_finder_or_quadrature():
-    code = (
-        "import sys, chaosmoments; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))))"
-    )
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    code += "; import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_root_finder_or_quadrature():
+    # nor any other part of scipy: scipy.special loads on first use
+    assert _scipy_modules_after("import chaosmoments") == "[]"
+
+
+def test_exp_power_law_loads_scipy_special():
+    code = "from chaosmoments import distributions as d; d.make_distribution(d.EXP_POWER, 2)"
+    assert "'scipy.special'" in _scipy_modules_after(code)
 
 
 T4_TENSOR = CoefficientTensor(np.array([

@@ -52,6 +52,17 @@ def test_lq_norm_and_alignment_duality():
         assert float(c @ t) == pytest.approx(lq_norm(c, q), rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_lq_align_one_nonzero_stays_in_ball(q):
+    gen = stream(43, 0)
+    for _ in range(500):
+        c = np.zeros(int(gen.integers(1, 6)))
+        c[gen.integers(c.size)] = gen.standard_normal() * 10.0 ** gen.uniform(-5.0, 5.0)
+        t = lq_align(c, q)
+        assert np.abs(t).max() <= 1.0
+        assert float(c @ t) == pytest.approx(lq_norm(c, q), rel=1e-12)
+
+
 def test_lq_align_q1_is_sign_pattern():
     t = lq_align(np.array([2.0, -2.0, 0.0]), 1.0)
     np.testing.assert_array_equal(t, [1.0, -1.0, 0.0])
