@@ -285,8 +285,10 @@ def subgaussian_gamma(d, grid=None):
     plus the t -> 0 limit E X^2 / 2.  A profile still increasing at the
     top of the grid signals a tail heavier than Gaussian (r < 2).
     """
-    if grid is None:
-        grid = np.geomspace(0.1, 50.0, 40)
+    grid = np.geomspace(0.1, 50.0, 40) if grid is None else np.asarray(grid, dtype=float)
+    ok = grid.ndim == 1 and grid.size >= 3 and np.all(np.isfinite(grid) & (grid > 0.0))
+    if not (ok and np.all(np.diff(grid) > 0.0)):  # the heavy-tail test reads the grid's top
+        raise ValueError("the grid needs at least 3 finite, positive, increasing points in one axis")
     h = np.array([_log_mgf(d, t) / (t * t) for t in grid])
     limit0 = d.variance / 2.0
     if not np.all(np.isfinite(h)) or h[-1] > h[-3] + 1e-6:

@@ -144,16 +144,8 @@ class TailDistribution:
     # -- density of |X| ------------------------------------------------
 
     def abs_density(self, t):
-        """Density of |X| at t > 0."""
-        t = np.asarray(t, dtype=float)
-        if self.family == EXP_POWER:
-            u = (t * self.scale) ** self.r
-            return (
-                self.r
-                * self.scale
-                * np.exp(-u - math.lgamma(1.0 / self.r))
-            )
-        return self.r * t ** (self.r - 1.0) * np.exp(-(t ** self.r))
+        """Density of |X| at t >= 0."""
+        return np.exp(self.log_abs_density(t))
 
     def log_abs_density(self, t):
         t = np.asarray(t, dtype=float)
@@ -163,11 +155,9 @@ class TailDistribution:
                 math.log(self.r * self.scale) - u - math.lgamma(1.0 / self.r)
             )
         with np.errstate(divide="ignore"):
-            return (
-                math.log(self.r)
-                + (self.r - 1.0) * np.log(t)
-                - t ** self.r
-            )
+            # no t^(r-1) factor at r = 1, where 0 log 0 would be nan at the origin
+            log_factor = 0.0 if self.linear_tail else (self.r - 1.0) * np.log(t)
+            return math.log(self.r) + log_factor - t ** self.r
 
     # -- sampling and moments ------------------------------------------
 

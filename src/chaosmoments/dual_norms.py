@@ -114,41 +114,6 @@ class NormResult:
 
 
 # ---------------------------------------------------------------------------
-# 1-D convex conjugate (building block of the Lagrangian dual)
-# ---------------------------------------------------------------------------
-
-def conjugate_1d(d, a, lam):
-    """sup_x (a x - lam * hat_N(x)) and its maximizer.
-
-    Unbounded for linear-tail families when lam < |a|; signalled with an
-    infinite value so the dual search can stay in the finite region.
-    """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if a == 0.0:
-        return 0.0, 0.0
-    sign = 1.0 if a > 0.0 else -1.0
-    a = abs(a)
-    # quadratic branch on [0, 1]
-    xq = min(a / (2.0 * lam), 1.0)
-    best_v = a * xq - lam * xq * xq
-    best_x = xq
-    # tail branch on [1, inf): stationarity a = lam N'(x)
-    if d.linear_tail:
-        if lam < a:
-            return math.inf, math.inf
-        # slope a - lam <= 0 beyond the knee; knee already covered above
-    else:
-        v = a / lam
-        if v > float(d.tail_N_prime(1.0)):
-            xt = float(d.tail_N_prime_inv(v))
-            vt = a * xt - lam * float(d.tail_N(xt))
-            if vt > best_v:
-                best_v, best_x = vt, xt
-    return best_v, sign * best_x
-
-
-# ---------------------------------------------------------------------------
 # Exact support function via budget allocation
 # ---------------------------------------------------------------------------
 
@@ -330,6 +295,26 @@ def norm_Xp(a, ball):
     return NormResult(values, points) if stack else NormResult(float(values[0]), points[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as r -> 1 a tail peak may overflow
+def _conjugates(mags, ball, lam):
+    """Each coordinate's conjugate sup_x (a_i x - lam hat_N_i(x)) and the
+    budget hat_N_i at its maximizer, in one pass over the laws.  The
+    quadratic branch peaks at min(a_i / (2 lam), 1); a strict law's tail
+    peaks where N'(x) = a_i / lam, kept if higher.  A linear law (r = 1)
+    needs lam >= a_i, where its tail falls and its peak is quadratic."""
+    v = mags / lam
+    x = np.minimum(0.5 * v, 1.0)
+    value, budget = mags * x - lam * x * x, x * x
+    for d, cols, knee, _ in ball._strict:
+        past = cols[v[cols] > knee]
+        xt = d.tail_N_prime_inv(v[past])
+        bt = d.tail_N(xt)
+        vt = mags[past] * xt - lam * bt
+        wins = ~(vt <= value[past])  # a nan peak lies past every float: it wins
+        value[past[wins]], budget[past[wins]] = vt[wins], bt[wins]
+    return value, budget
+
+
 def norm_Xp_dual(a, ball):
     """Lagrangian dual value inf_{lam>0} lam p + sum conjugates.
 
@@ -337,47 +322,31 @@ def norm_Xp_dual(a, ball):
     convex envelope: equal to norm_Xp when every hat_N_i is convex
     (N_i'(1) >= 2), else an upper bound that can exceed the support
     function of the ball's convex hull (the 1-D Weibull r = 1 ball at
-    p = 2 is [-2, 2], yet the dual gives 2.25).
+    p = 2 is [-2, 2], yet the dual gives 2.25).  The dual is convex in lam
+    with slope p - sum_i hat_N_i(x_i(lam)), so lam is bisected on the sign
+    of that slope until the bracket's ends are adjacent floats; the value
+    is positively homogeneous in a.
     """
-    a = np.asarray(a, dtype=float).ravel()
+    a = np.asarray(a, dtype=float)
+    if a.shape != (ball.dim,):
+        raise ValueError(f"dimension mismatch: {a.shape} != ({ball.dim},)")
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
     mags = np.abs(a)
     if not mags.any():
         return 0.0
     p = ball.p
-    lam_min = max([mags[idx].max() for d, idx in ball.laws if d.linear_tail], default=0.0)
-
-    def objective(lam):
-        total = lam * p
-        for d, idx in ball.laws:
-            for ai in mags[idx]:
-                v, _ = conjugate_1d(d, ai, lam)
-                if math.isinf(v):
-                    return math.inf
-                total += v
-        return total
-
-    # for lam >= max|a_i| every conjugate is quadratic (a strict tail needs
-    # a_i / lam > N'(1) >= 1), so the dual is lam p + |a|^2 / (4 lam), which
-    # does not decrease past |a| / (2 sqrt(p)): hi brackets the minimizer
-    lo = max(lam_min, 1e-12)
-    hi = max(lo * 2.0, mags.max(), np.linalg.norm(mags) / (2.0 * math.sqrt(p)))
-    # golden-section on the convex 1-D dual
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(200):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = objective(x1)
+    # the dual is infinite below the largest linear-tail |a_i|; from max|a_i| on
+    # every conjugate is quadratic (a strict tail needs a_i / lam > N'(1) >= 1), so
+    # the dual is lam p + |a|^2 / (4 lam), not decreasing past |a| / (2 sqrt p)
+    lo = mags[ball._linear].max(initial=0.0)
+    hi = max(mags.max(), math.hypot(*mags) / (2.0 * math.sqrt(p)))
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if _conjugates(mags, ball, mid)[1].sum() > p:
+            lo = mid
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = objective(x2)
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    return min(objective(lo), objective(hi), objective(lam_min) if lam_min > 0 else math.inf)
+            hi = mid
+    return min(float(lam * p + _conjugates(mags, ball, lam)[0].sum()) for lam in (lo, hi) if lam > 0.0)
 
 
 # ---------------------------------------------------------------------------

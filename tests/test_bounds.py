@@ -184,6 +184,14 @@ def test_gamma_stable_under_grid_refinement():
         assert a == pytest.approx(b, rel=1e-4)
 
 
+@pytest.mark.parametrize("grid", [[0.5, 1.0], [0.0, 0.5, 1.0], [-1.0, 0.5, 1.0],
+                                  [0.5, math.inf, 2.0], [[0.5, 1.0, 2.0]], [2.0, 1.0, 0.5]],
+                         ids=["two-points", "zero", "negative", "inf", "2-D", "decreasing"])
+def test_gamma_rejects_a_bad_grid(grid):
+    with pytest.raises(ValueError, match="grid"):
+        subgaussian_gamma(G, grid)
+
+
 def test_diagnostics_report_convergence():
     rep = assemble_bound(SCALAR, TWO_SIDED, 2.0, W2, W2)
     for name in ("T2", "T3", "T4r", "T5"):

@@ -118,6 +118,19 @@ def test_density_integrates_to_survival(family, r):
         assert mass == pytest.approx(d.survival(t), rel=1e-7)
 
 
+def test_weibull_r1_log_density_at_origin():
+    # the density of |X| is e^-t, which is 1 at the origin
+    assert make_distribution(WEIBULL, 1.0).log_abs_density(0.0) == 0.0
+
+
+@pytest.mark.parametrize("family", [WEIBULL, EXP_POWER])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 4.0])
+def test_density_is_exp_of_log_density(family, r):
+    d = make_distribution(family, r)
+    t = np.linspace(0.0, 6.0, 61)
+    np.testing.assert_array_equal(d.abs_density(t), np.exp(d.log_abs_density(t)))
+
+
 def test_exp_power_scale_value_r2():
     d = make_distribution(EXP_POWER, 2.0)
     assert d.scale == pytest.approx(0.6367, abs=5e-4)

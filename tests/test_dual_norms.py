@@ -15,9 +15,9 @@ from chaosmoments.dual_norms import (
     _ascend,
     _best_start,
     _best_starts,
+    _conjugates,
     ball,
     ball_membership,
-    conjugate_1d,
     norm_Xp,
     norm_Xp_dual,
     norm_XYp,
@@ -31,32 +31,33 @@ W3 = make_distribution(WEIBULL, 3.0)
 E2 = make_distribution(EXP_POWER, 2.0)
 
 
+def _conjugate(d, a, lam):
+    """(value, budget at the maximizer) of the one-coordinate conjugate."""
+    value, budget = _conjugates(np.array([a]), ball(d, 2.0, 1), lam)
+    return float(value[0]), float(budget[0])
+
+
 def test_conjugate_small_coefficient_is_quadratic():
     # sup_x (a x - lam x^2) = a^2 / (4 lam) while the maximizer stays inside [-1, 1]
-    val, x = conjugate_1d(W2, 1.0, 1.0)
+    val, budget = _conjugate(W2, 1.0, 1.0)
     assert val == pytest.approx(0.25, abs=1e-9)
-    assert x == pytest.approx(0.5, abs=1e-9)
+    assert budget == pytest.approx(0.25, abs=1e-9)  # x = 1/2
 
 
 def test_conjugate_knee_case():
-    val, x = conjugate_1d(W2, 2.0, 1.0)
+    val, budget = _conjugate(W2, 2.0, 1.0)
     assert val == pytest.approx(1.0, abs=1e-9)
-    assert x == pytest.approx(1.0, abs=1e-9)
-
-
-def test_conjugate_linear_tail_unbounded():
-    # N(t) = t past the knee: a > lam makes a x - lam N(x) unbounded
-    val, x = conjugate_1d(W1, 2.0, 1.0)
-    assert val == math.inf
+    assert budget == pytest.approx(1.0, abs=1e-9)  # x = 1
 
 
 @pytest.mark.parametrize("a,lam", [(1.5, 0.7), (3.0, 1.2), (0.2, 2.0), (2.5, 0.4)])
 @pytest.mark.parametrize("dist", [W2, W3, E2])
 def test_conjugate_matches_grid_scan(a, lam, dist):
     xs = np.linspace(0.0, 60.0, 400_001)
-    scan = (a * xs - lam * dist.hat_N(xs)).max()
-    val, _ = conjugate_1d(dist, a, lam)
-    assert val == pytest.approx(scan, rel=1e-4, abs=5e-4)
+    scan = a * xs - lam * dist.hat_N(xs)
+    val, budget = _conjugate(dist, a, lam)
+    assert val == pytest.approx(scan.max(), rel=1e-4, abs=5e-4)
+    assert budget == pytest.approx(float(dist.hat_N(xs[scan.argmax()])), rel=1e-3, abs=1e-4)
 
 
 def test_norm_linear_tail_exact_value():
@@ -195,6 +196,38 @@ def test_dual_is_support_of_convexified_budget():
     b = ball(W1, 2.0, 1)
     assert norm_Xp(np.ones(1), b).value == pytest.approx(2.0, rel=1e-12)
     assert float(norm_Xp_dual(np.ones(1), b)) == pytest.approx(2.25, rel=1e-9)
+
+
+@pytest.mark.parametrize("dist", [W1, W2, W3, E2])
+def test_dual_is_positively_homogeneous(dist):
+    b = ball(dist, 2.0, 2)
+    a = np.array([1.0, 0.5])
+    dual = float(norm_Xp_dual(a, b))
+    for s in (1e-100, 1e-12, 1e100):
+        scaled = float(norm_Xp_dual(s * a, b))
+        assert scaled == pytest.approx(s * dual, rel=1e-12)
+        if dist.r >= 2.0 and dist.family == WEIBULL:  # a convex ball: the dual is the norm
+            assert scaled == pytest.approx(norm_Xp(s * a, b).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [1.0001, 1.0000001])
+def test_dual_bounds_the_norm_when_a_tail_peak_overflows(r):
+    # N'^{-1}(v) = (v / r)^(1 / (r - 1)) overflows for v a little past the knee
+    b = ball(make_distribution(WEIBULL, r), 3.0, 3)
+    a = np.array([1.0, 0.3, -2.0])
+    assert float(norm_Xp_dual(a, b)) >= norm_Xp(a, b).value
+
+
+@pytest.mark.parametrize("a", [np.ones(3), np.ones(1), np.ones((1, 2))], ids=["long", "short", "2-D"])
+def test_dual_rejects_a_wrong_shape(a):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        norm_Xp_dual(a, ball(W2, 2.0, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dual_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        norm_Xp_dual(np.array([1.0, bad]), ball(W2, 2.0, 2))
 
 
 def test_dual_upper_bounds_nonconvex_case():
